@@ -1,6 +1,11 @@
 """footfall: physically grounded footstep-audio synthesis and passive
-walker identification (detection, separation, identification, spatial
-estimation, replay defense), scored against synthetic ground truth."""
+walker identification, scored against synthetic ground truth.
+
+Synthesis renders walkers on a dispersive floor under voice babble and
+noise, including replay-attack scenes re-emitted from a loudspeaker.
+Analysis detects footstep events, tests for a walking rhythm, separates
+footsteps from voice, suppresses the residual noise and identifies the
+walker. No ranging estimator or replay detector ships."""
 
 __version__ = "0.1.0"
 

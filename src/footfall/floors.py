@@ -39,9 +39,6 @@ class FloorMaterial:
         if not 0.0 <= self.poisson_ratio < 1.0:
             raise FootfallError("poisson_ratio must lie in [0, 1)", value=self.poisson_ratio)
 
-    def with_air_speed(self, c: float) -> "FloorMaterial":
-        return replace(self, air_speed=c)
-
 
 # calibrated so dispersion_speed(..., 1000.0) sits in the 2000-3000 m/s band
 CONCRETE_SLAB = FloorMaterial(
@@ -59,8 +56,6 @@ WOOD_JOIST = FloorMaterial(
     thickness=0.05,
     poisson_ratio=0.4,
 )
-
-MATERIALS = {m.name: m for m in (CONCRETE_SLAB, WOOD_JOIST)}
 
 
 def dispersion_speed(material: FloorMaterial, freq_hz):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FootfallError
-from .gmm import gmm_classify
 from .nnet import (
     BatchNorm,
     Conv2d,
@@ -141,11 +140,6 @@ def loss_identity(probs, labels) -> float:
                             probs=list(p.shape), labels=int(labels.size))
     p_true = p[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(p_true, 1e-12))))
-
-
-def loss_domain(probs, labels) -> float:
-    """Cross-entropy of the domain discriminator, same form as loss_identity."""
-    return loss_identity(probs, labels)
 
 
 @dataclass
@@ -339,41 +333,6 @@ def simulate_voting(p: float, voting: str, trials: int, rng=None) -> float:
     rng = rng if rng is not None else np.random.default_rng(0)
     k, n = VOTING_SCHEMES[voting]
     return float(np.mean(rng.binomial(n, p, size=trials) >= k))
-
-
-def gmm_identify_baseline(models: dict, features):
-    """Max-likelihood user over per-user mixture models; ties to earliest."""
-    label, _ = gmm_classify(models, features)
-    return label
-
-
-def domain_probe_accuracy(f_train, d_train, f_test, d_test, seed: int = 0,
-                          epochs: int = 300, lr: float = 0.05) -> float:
-    """Accuracy of a fresh probe classifier trained to read domain from f.
-
-    The probe is a small MLP on frozen features; a low score means the
-    features carry little linearly- or shallowly-decodable domain evidence.
-    """
-    f_train = np.asarray(f_train, dtype=np.float64)
-    f_test = np.asarray(f_test, dtype=np.float64)
-    d_train = np.asarray(d_train, dtype=np.int64)
-    d_test = np.asarray(d_test, dtype=np.int64)
-    n_domains = int(max(d_train.max(), d_test.max())) + 1
-    rng = np.random.default_rng(seed)
-    hidden = Dense(f_train.shape[1], 32, rng)
-    out = Dense(32, n_domains, rng)
-    params = hidden.params() + out.params()
-    opt = MomentumSgd(params, lr=lr, momentum=0.9)
-    # standardize so probe conditioning does not depend on feature scale
-    mu, sd = f_train.mean(axis=0), f_train.std(axis=0) + 1e-9
-    xtr = Tensor((f_train - mu) / sd)
-    for _ in range(epochs):
-        loss = cross_entropy(out(relu(hidden(xtr))), d_train)
-        zero_grads(params)
-        backward(loss)
-        opt.step(collect_grads(params))
-    logits = out(relu(hidden(Tensor((f_test - mu) / sd)))).data
-    return float(np.mean(logits.argmax(axis=1) == d_test))
 
 
 def _architecture_hash(net: IdNet) -> str:

@@ -34,8 +34,8 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     White noise is shaped in the frequency domain by 1/sqrt(f); the DC bin is
     zeroed. Equal energy per octave, 3 dB down per octave in density.
     """
-    if n <= 0:
-        raise FootfallError("sample count must be positive", n=n)
+    if n < 2:  # the shaping needs a bin above DC
+        raise FootfallError("pink noise needs at least two samples", n=n)
     spectrum = np.fft.rfft(rng.standard_normal(n))
     f = np.fft.rfftfreq(n)
     spectrum[0] = 0.0

@@ -7,19 +7,20 @@ error in a loud one, so low-level impact tails are not sacrificed to loud
 voice harmonics. The component set is split in two, and the footstep share
 starts from activations laid out as a periodic comb at the detected step
 rate, so rhythmic energy settles there while sustained speech lands in the
-rest. Stems are rebuilt through complementary per-bin Wiener masks and the
-inverse transform, which makes them sum back to the input exactly.
+rest. The footstep stem is rebuilt through a per-bin Wiener mask and the
+inverse transform; the voice stem is the mixture minus the footstep stem,
+so the two sum back to the input exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dsp import analyze_padded, synthesize_padded
 from .errors import FootfallError
-from .types import Spectrogram, Waveform
+from .types import Waveform
 
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
@@ -288,8 +289,9 @@ def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
     """Split a single-channel mixture into footstep and voice stems.
 
     step_freq is the accepted pace line in Hz; it sets the comb period of
-    the footstep activation prior. Both outputs have exactly the input
-    length and sum to the input.
+    the footstep activation prior. The footstep stem is the Wiener-masked
+    mixture and the voice stem is the mixture minus the footstep stem, so
+    both have exactly the input length and sum to the input.
     """
     if step_freq <= 0:
         raise FootfallError("step frequency must be positive", step_freq=step_freq)
@@ -319,16 +321,7 @@ def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
     else:
         model, _ = nmf_fit(power, period, r_foot=r_foot, r_voice=r_voice,
                            iters=iters, rng=rng)
-    mask_foot, mask_voice = source_masks(model)
-    n = mix.samples.size
-    stems = []
-    for mask in (mask_foot, mask_voice):
-        masked = Spectrogram(
-            magnitudes=mask * spec.magnitudes,
-            phase=spec.phase,
-            window_len=window_len,
-            hop=hop,
-            sample_rate=mix.sample_rate,
-        )
-        stems.append(synthesize_padded(masked, offset, n))
-    return stems[0], stems[1]
+    mask_foot, _ = source_masks(model)
+    foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
+                             offset, mix.samples.size)
+    return foot, Waveform(mix.samples - foot.samples, mix.sample_rate)

@@ -3,7 +3,6 @@
 from .autodiff import (
     Tensor,
     add,
-    amax,
     backward,
     collect_grads,
     dropout,
@@ -21,6 +20,6 @@ from .autodiff import (
     tsum,
     zero_grads,
 )
-from .layers import BatchNorm, Conv1d, Conv2d, Dense, Dropout, MaxPool1d
-from .losses import center_loss, cross_entropy, squared_error, update_centers
+from .layers import BatchNorm, Conv2d, Dense, Dropout
+from .losses import center_loss, cross_entropy, update_centers
 from .optim import MomentumSgd

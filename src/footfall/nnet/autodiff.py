@@ -34,15 +34,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
@@ -173,19 +164,6 @@ def sigmoid(a) -> Tensor:
         return [(a, g * s * (1.0 - s))]
 
     return _node(s, (a,), backward)
-
-
-def amax(a, axis: int) -> Tensor:
-    """Maximum over one axis; gradient flows to the first maximizer."""
-    a = _wrap(a)
-    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis)
-        return [(a, ga)]
-
-    return _node(np.take_along_axis(a.data, idx, axis).squeeze(axis), (a,), backward)
 
 
 def im2col(x, kh: int, kw: int) -> Tensor:

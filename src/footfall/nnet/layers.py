@@ -14,7 +14,6 @@ from ..errors import FootfallError
 from .autodiff import (
     Tensor,
     add,
-    amax,
     dropout,
     im2col,
     matmul,
@@ -75,21 +74,6 @@ class Conv2d:
         return [self.w, self.b]
 
 
-class Conv1d:
-    """Valid 1D convolution on (B, C, L), built on the 2D unfold."""
-
-    def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator):
-        self._conv = Conv2d(c_in, c_out, 1, k, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        b, c, n = x.data.shape
-        out = self._conv(reshape(x, (b, c, 1, n)))
-        return reshape(out, (out.data.shape[0], out.data.shape[1], out.data.shape[3]))
-
-    def params(self):
-        return self._conv.params()
-
-
 class BatchNorm:
     """Per-channel normalization with affine scale and shift.
 
@@ -136,24 +120,6 @@ class Dropout:
 
     def __call__(self, x: Tensor, train: bool, rng: np.random.Generator) -> Tensor:
         return dropout(x, self.p, rng, train)
-
-    def params(self):
-        return []
-
-
-class MaxPool1d:
-    """Non-overlapping max pooling over the last axis of (B, C, L)."""
-
-    def __init__(self, size: int):
-        self.size = int(size)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        b, c, n = x.data.shape
-        if n % self.size != 0:
-            raise FootfallError("pool size must divide the length",
-                                length=n, size=self.size)
-        windows = reshape(x, (b, c, n // self.size, self.size))
-        return amax(windows, axis=3)
 
     def params(self):
         return []

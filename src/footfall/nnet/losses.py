@@ -1,4 +1,4 @@
-"""Loss heads: categorical cross-entropy, center loss, squared error.
+"""Loss heads: categorical cross-entropy and center loss.
 
 Cross-entropy is fused with softmax for numerical stability; a true-class
 probability under the clamp keeps its loss finite but contributes no
@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from ..errors import FootfallError
-from .autodiff import Tensor, _node, mul, tmean
+from .autodiff import Tensor, _node
 
 PROB_CLAMP = 1e-12
 
@@ -93,13 +93,3 @@ def update_centers(centers: np.ndarray, features: np.ndarray, labels,
         delta = np.sum(centers[j] - features[mask], axis=0) / (1.0 + mask.sum())
         out[j] = centers[j] - alpha * delta
     return out
-
-
-def squared_error(pred: Tensor, target) -> Tensor:
-    """Mean squared error against a constant target."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != pred.data.shape:
-        raise FootfallError("target shape mismatch", pred=list(pred.data.shape),
-                            target=list(target.shape))
-    diff = pred - Tensor(target)
-    return tmean(mul(diff, diff))

@@ -22,6 +22,18 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _as_rate(rate) -> int:
+    """A positive whole number of Hz as int; 48000.0 passes, 16000.7 does not."""
+    try:
+        value = float(rate)
+    except (TypeError, ValueError):
+        raise FootfallError("sample_rate must be a number", sample_rate=repr(rate)) from None
+    if not (value > 0 and value.is_integer()):  # false for NaN and +-inf
+        raise FootfallError("sample_rate must be a positive whole number of Hz",
+                            sample_rate=rate)
+    return int(value)
+
+
 @dataclass
 class Waveform:
     """Mono waveform: samples (n,) plus sample rate in Hz."""
@@ -31,9 +43,7 @@ class Waveform:
 
     def __post_init__(self):
         self.samples = _as_float_array(self.samples, "samples", 1)
-        if int(self.sample_rate) <= 0:
-            raise FootfallError("sample_rate must be positive", sample_rate=self.sample_rate)
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = _as_rate(self.sample_rate)
 
     @property
     def duration(self) -> float:
@@ -52,9 +62,7 @@ class MultichannelWaveform:
 
     def __post_init__(self):
         self.samples = _as_float_array(self.samples, "samples", 2)
-        if int(self.sample_rate) <= 0:
-            raise FootfallError("sample_rate must be positive", sample_rate=self.sample_rate)
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = _as_rate(self.sample_rate)
 
     @property
     def n_channels(self) -> int:
@@ -113,10 +121,6 @@ class Spectrogram:
     def frame_rate(self) -> float:
         """Frames per second along the time axis."""
         return self.sample_rate / self.hop
-
-    @property
-    def bin_freqs(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.sample_rate / self.window_len
 
     def complex_values(self) -> np.ndarray:
         if self.phase is None:

@@ -9,11 +9,12 @@ is shaped down, not gated to silence.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dsp import analyze_padded, synthesize_padded
 from .errors import FootfallError
-from .subtract import noise_power_profile
 from .types import Spectrogram, Waveform
 
 ALPHA = 0.98  # memory of the a-priori SNR estimate
@@ -42,7 +43,7 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram,
     window_len, hop = noise_floor.window_len, noise_floor.hop
     spec, offset = analyze_padded(noisy, window_len, hop)
     power = spec.magnitudes**2  # (n_bins, n_frames)
-    noise = noise_power_profile(noise_floor)
+    noise = np.mean(noise_floor.magnitudes**2, axis=1)
     # an empty bin in the floor estimate must not blow up the posterior SNR
     noise = np.maximum(noise, 1e-12 * max(float(noise.max(initial=0.0)), 1e-300))
 
@@ -56,11 +57,5 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram,
         gains[:, m] = g
         prev_clean = g * g * power[:, m]
 
-    out = Spectrogram(
-        magnitudes=gains * spec.magnitudes,
-        phase=spec.phase,
-        window_len=window_len,
-        hop=hop,
-        sample_rate=noisy.sample_rate,
-    )
+    out = replace(spec, magnitudes=gains * spec.magnitudes)
     return synthesize_padded(out, offset, noisy.samples.size)

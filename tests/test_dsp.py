@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from footfall import FootfallError, Waveform
+from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
 
 
@@ -113,3 +113,15 @@ def test_spectrogram_phase_required_for_istft():
     spec.phase = None
     with pytest.raises(FootfallError):
         istft(spec)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 16000.7, 0.5, 0, None])
+@pytest.mark.parametrize("make, samples", [(Waveform, np.zeros(4)),
+                                           (MultichannelWaveform, np.zeros((2, 4)))])
+def test_sample_rate_must_be_a_positive_whole_number(make, samples, rate):
+    with pytest.raises(FootfallError) as err:
+        make(samples, rate)
+    assert "sample_rate" in err.value.details
+    for whole in (48000.0, np.int64(16000)):
+        kept = make(samples, whole).sample_rate
+        assert kept == int(whole) and type(kept) is int

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from footfall.errors import FootfallError
-from footfall.gmm import gmm_fit
 from footfall.idnet import (
     IdNet,
     TrainConfig,
     TrainSet,
     evaluate_accuracy,
     forward,
-    gmm_identify_baseline,
     identify,
     load_checkpoint,
-    loss_domain,
     loss_identity,
     save_checkpoint,
     simulate_voting,
@@ -86,12 +83,6 @@ def test_identity_loss_closed_forms():
     lo = loss_identity(np.array([[0.3, 0.7]]), np.array([0]))
     hi = loss_identity(np.array([[0.6, 0.4]]), np.array([0]))
     assert hi < lo
-
-
-def test_domain_loss_closed_form():
-    uniform = np.full((7, 3), 1.0 / 3.0)
-    assert loss_domain(uniform, np.ones(7, dtype=int)) == pytest.approx(
-        np.log(3.0), abs=1e-12)
 
 
 def test_voting_closed_form_and_monte_carlo():
@@ -185,12 +176,3 @@ def test_checkpoint_rejects_other_versions(tmp_path, trained):
     np.savez(path, **arrays)
     with pytest.raises(FootfallError):
         load_checkpoint(path)
-
-
-def test_gmm_baseline_self_consistency():
-    rng = np.random.default_rng(9)
-    clips = {"ada": rng.normal(0.0, 1.0, size=(80, 4)),
-             "ben": rng.normal(6.0, 1.0, size=(80, 4))}
-    models = {name: gmm_fit(x, k=2, seed=0) for name, x in clips.items()}
-    assert gmm_identify_baseline(models, clips["ada"][:20]) == "ada"
-    assert gmm_identify_baseline(models, clips["ben"][:20]) == "ben"

@@ -18,6 +18,12 @@ def test_noise_is_unit_rms():
         assert np.sqrt(np.mean(x * x)) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("make, n", [(white_noise, 0), (pink_noise, 0), (pink_noise, 1)])
+def test_noise_rejects_too_few_samples(make, n):
+    with pytest.raises(FootfallError):
+        make(n, np.random.default_rng(0))
+
+
 def test_white_noise_energy_doubles_per_octave():
     x = white_noise(1 << 17, np.random.default_rng(7))
     bands = [(0.01, 0.02), (0.02, 0.04), (0.04, 0.08), (0.08, 0.16)]

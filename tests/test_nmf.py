@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from footfall.bss import sdr, sir
-from footfall.dsp import rms
+from footfall.dsp import rms, stft
 from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona
@@ -16,6 +16,7 @@ from footfall.nmf import (
     source_masks,
 )
 from footfall.scenes import AirSource, MicArray, Scene, Trajectory, Walker, render_scene
+from footfall.wiener import wiener_residual_suppress
 
 FS = 16000
 PACE = 1.5
@@ -33,17 +34,17 @@ def _persona():
     )
 
 
-def _mix_parts(seed=0, sir_db=0.0, duration=8.0):
+def _mix_parts(seed=0, sir_db=0.0, duration=8.0, fs=FS):
     """Mixture channel plus its clean footstep and voice stems."""
     walker = Walker(_persona(), Trajectory(np.array([0.0, duration]),
                                            np.array([[2.0, -4.0], [2.0, 5.0]])))
     voices = ()
     if sir_db is not None:
-        voices = (AirSource(babble(duration, FS, np.random.default_rng(seed + 1000)),
+        voices = (AirSource(babble(duration, fs, np.random.default_rng(seed + 1000)),
                             [4.0, 1.0]),)
     scene = Scene(floor=CONCRETE_SLAB, array=MicArray(np.array([[0.0, 0.0]])),
                   walkers=(walker,), voices=voices, target_sir_db=sir_db,
-                  duration_s=duration, sample_rate=FS, seed=seed)
+                  duration_s=duration, sample_rate=fs, seed=seed)
     out, truth = render_scene(scene)
     voice = truth.voice_stem[0] if truth.voice_stem is not None else None
     return out.channel(0), truth.footstep_mix()[0], voice
@@ -78,12 +79,25 @@ def test_masks_are_complementary():
     assert mask_foot.min() >= 0.0 and mask_voice.min() >= 0.0
 
 
-def test_stems_sum_to_the_mixture():
-    mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0)
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_stems_sum_to_the_mixture(fs):
+    mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=fs)
     foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(3))
     assert foot.samples.size == mix.samples.size
     assert voice.samples.size == mix.samples.size
     assert rms(foot.samples + voice.samples - mix.samples) < 1e-6
+
+
+@pytest.mark.parametrize("duration", [4.0, 8.0])  # blind and pinned-template branch
+def test_separation_and_cleanup_are_bitwise_deterministic(duration):
+    mix, _, _ = _mix_parts(seed=4, sir_db=0.0, duration=duration)
+    runs = []
+    for _ in range(2):
+        foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(4))
+        final = wiener_residual_suppress(foot, stft(voice, 512, 256))
+        runs.append((foot.samples, voice.samples, final.samples))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
 
 
 def test_interference_at_equal_level_is_pushed_down_10db():

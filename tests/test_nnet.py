@@ -4,18 +4,14 @@ import pytest
 from footfall.errors import FootfallError
 from footfall.nnet import (
     BatchNorm,
-    Conv1d,
     Conv2d,
     Dense,
     Dropout,
-    MaxPool1d,
     MomentumSgd,
     Tensor,
     add,
-    amax,
     backward,
     center_loss,
-    collect_grads,
     cross_entropy,
     finite_difference,
     im2col,
@@ -26,7 +22,6 @@ from footfall.nnet import (
     relu,
     reshape,
     sigmoid,
-    squared_error,
     tmean,
     transpose,
     tsum,
@@ -75,26 +70,12 @@ def test_matmul_and_shape_op_gradients():
     _assert_grads_match(lambda: tsum(mul(transpose(reshape(a, (4, 3)), (1, 0)), a)), a)
 
 
-def test_max_gradient_flows_to_the_maximizer():
-    rng = np.random.default_rng(3)
-    c = parameter(rng.standard_normal((2, 3, 8)))
-    _assert_grads_match(lambda: tsum(amax(reshape(c, (2, 3, 2, 4)), 3)), c)
-
-
 def test_unfold_and_conv_gradients():
     rng = np.random.default_rng(4)
     x = parameter(rng.standard_normal((2, 3, 6, 5)))
     _assert_grads_match(lambda: tsum(mul(im2col(x, 3, 2), 1.5)), x)
     conv = Conv2d(3, 4, 3, 2, rng)
     _assert_grads_match(lambda: tsum(conv(x)), x, conv.w, conv.b)
-
-
-def test_conv1d_and_pool_gradients():
-    rng = np.random.default_rng(5)
-    x = parameter(rng.standard_normal((2, 2, 12)))
-    conv = Conv1d(2, 3, 5, rng)
-    _assert_grads_match(lambda: tsum(conv(x)), x, *conv.params())
-    _assert_grads_match(lambda: tsum(MaxPool1d(4)(x)), x)
 
 
 def test_dense_gradient():
@@ -196,13 +177,6 @@ def test_update_centers_rules():
     a = update_centers(centers, f, labels)
     b = update_centers(centers, f[perm], labels[perm])
     assert np.allclose(a, b, atol=1e-12)
-
-
-def test_squared_error_gradient():
-    rng = np.random.default_rng(13)
-    pred = parameter(rng.standard_normal(6))
-    target = rng.standard_normal(6)
-    _assert_grads_match(lambda: squared_error(pred, target), pred)
 
 
 def test_gradient_reversal_identity():
