@@ -1,14 +1,22 @@
 """Identification network with domain-adversarial training.
 
-A small fixed CNN maps a 32x16 magnitude patch of one footstep to a 16-dim
-feature. Two heads share it: the identity head (hidden sigmoid layer, then
-class scores) and a domain head that sees the feature gated elementwise by
-the identity head's hidden activation. Training pulls the feature extractor
-toward identity evidence and away from domain evidence by reversing the
-domain gradient; class centers tighten features within each user.
+Architecture, on a 32x16 magnitude patch of one footstep:
+
+    conv 5x3 (32) -> batch-norm -> ReLU -> conv 3x2 (64) -> batch-norm -> ReLU
+    -> dropout (train only) -> dense to the 16-dim feature f
+    identity head: latent = sigmoid(dense(f)); identity logits = dense(latent)
+    domain head:   domain logits = dense(sigmoid(dense(f * latent)))
+
+Gradient split (Ganin & Lempitsky 2015): the identity head descends
+L_eta = L_u + lam * L_c / batch (cross-entropy plus the center loss), the
+domain head descends the domain cross-entropy L_delta, and the feature
+extractor descends L_eta - lam_grl * L_delta, so it is pulled toward
+identity evidence and away from domain evidence. f reaches L_delta both
+through the gate f * latent and through latent itself. Class centers move
+only through _update_centers, and they tighten features within each user.
 
 Inference is pure: eval-mode forwards use running batch-norm statistics and
-no dropout, so repeated calls agree bitwise.
+no dropout, draw no random numbers, and repeated calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -16,34 +24,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FootfallError
-from .nnet import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    Dropout,
-    MomentumSgd,
-    Tensor,
-    backward,
-    center_loss,
-    collect_grads,
-    cross_entropy,
-    mul,
-    relu,
-    reshape,
-    sigmoid,
-    update_centers,
-    zero_grads,
-)
 
 PATCH_SHAPE = (32, 16)
 FEATURE_DIM = 16
 DROP_RATE = 0.65
 CENTER_ALPHA = 0.5
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
+_PROB_CLAMP = 1e-12
 
 VOTING_SCHEMES = {"single": (1, 1), "2-of-3": (2, 3), "3-of-5": (3, 5)}
 
@@ -54,6 +48,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives exactly 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _as_patches(x) -> np.ndarray:
@@ -70,7 +69,11 @@ def _as_patches(x) -> np.ndarray:
 
 
 class IdNet:
-    """Feature extractor, identity predictor, and domain discriminator."""
+    """Feature extractor, identity predictor, and domain discriminator.
+
+    `p` holds the trainable float64 arrays in checkpoint order and
+    `running` the batch-norm running statistics.
+    """
 
     def __init__(self, n_users: int, n_domains: int, seed: int = 0):
         if n_users < 2:
@@ -80,42 +83,122 @@ class IdNet:
         rng = np.random.default_rng(seed)
         self.n_users = int(n_users)
         self.n_domains = int(n_domains)
-        self.conv1 = Conv2d(1, 32, 5, 3, rng)
-        self.bn1 = BatchNorm(32)
-        self.conv2 = Conv2d(32, 64, 3, 2, rng)
-        self.bn2 = BatchNorm(64)
-        self.drop = Dropout(DROP_RATE)
-        self.project = Dense(64 * 26 * 13, FEATURE_DIM, rng)
-        self.id_hidden = Dense(FEATURE_DIM, 16, rng)
-        self.id_out = Dense(16, n_users, rng)
-        self.dom_hidden = Dense(FEATURE_DIM, 16, rng)
-        self.dom_out = Dense(16, n_domains, rng)
-
-    def feature_params(self):
-        return (self.conv1.params() + self.bn1.params() + self.conv2.params()
-                + self.bn2.params() + self.project.params())
-
-    def identity_params(self):
-        return self.id_hidden.params() + self.id_out.params()
-
-    def domain_params(self):
-        return self.dom_hidden.params() + self.dom_out.params()
+        # He-scaled filters, 1/sqrt(n_in) dense weights, drawn in this order
+        conv1 = rng.normal(0.0, np.sqrt(2.0 / 15), size=(32, 1, 5, 3))
+        conv2 = rng.normal(0.0, np.sqrt(2.0 / 192), size=(64, 32, 3, 2))
+        dense = [(name, rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_in, n_out)))
+                 for name, n_in, n_out in (("project", 64 * 26 * 13, FEATURE_DIM),
+                                           ("id_hidden", FEATURE_DIM, 16),
+                                           ("id_out", 16, self.n_users),
+                                           ("dom_hidden", FEATURE_DIM, 16),
+                                           ("dom_out", 16, self.n_domains))]
+        self.p = {"conv1_w": conv1, "conv1_b": np.zeros(32),
+                  "bn1_g": np.ones(32), "bn1_b": np.zeros(32),
+                  "conv2_w": conv2, "conv2_b": np.zeros(64),
+                  "bn2_g": np.ones(64), "bn2_b": np.zeros(64)}
+        for name, w in dense:
+            self.p[f"{name}_w"] = w
+            self.p[f"{name}_b"] = np.zeros(w.shape[1])
+        self.running = {"bn1_mean": np.zeros(32), "bn1_var": np.ones(32),
+                        "bn2_mean": np.zeros(64), "bn2_var": np.ones(64)}
 
     def params(self):
-        return self.feature_params() + self.identity_params() + self.domain_params()
+        return list(self.p.values())
 
-    def graph(self, patches: np.ndarray, train: bool, rng=None):
-        """Build the forward graph; returns (f, identity logits, domain logits)."""
-        x = Tensor(patches[:, None, :, :])
-        h = relu(self.bn1(self.conv1(x), train))
-        h = relu(self.bn2(self.conv2(h), train))
-        h = reshape(h, (patches.shape[0], 64 * 26 * 13))
-        h = self.drop(h, train, rng if rng is not None else np.random.default_rng(0))
-        f = self.project(h)
-        latent = sigmoid(self.id_hidden(f))
-        id_logits = self.id_out(latent)
-        dom_logits = self.dom_out(sigmoid(self.dom_hidden(mul(f, latent))))
-        return f, id_logits, dom_logits
+
+def _conv(x, w, b):
+    """Valid stride-1 convolution of (B, C, H, W); also returns the unfolded rows."""
+    n, c, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    ph, pw = h - kh + 1, wd - kw + 1
+    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ph * pw, c * kh * kw)
+    out = cols @ w.reshape(c_out, -1).T + b
+    return out.reshape(n, ph, pw, c_out).transpose(0, 3, 1, 2), cols
+
+
+def _conv_backward(g, cols, w):
+    """(dw, db, d cols) of _conv for the output gradient g."""
+    c_out = w.shape[0]
+    g = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    return (cols.T @ g).T.reshape(w.shape), g.sum(axis=0), g @ w.reshape(c_out, -1)
+
+
+def _fold(g_cols, shape, kh, kw):
+    """Scatter unfolded-row gradients back onto the (B, C, H, W) input."""
+    n, c, h, w = shape
+    ph, pw = h - kh + 1, w - kw + 1
+    g6 = g_cols.reshape(n, ph, pw, c, kh, kw)
+    gx = np.zeros(shape)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i:i + ph, j:j + pw] += g6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return gx
+
+
+def _batchnorm(x, gamma, beta, mean, var, train):
+    """Per-channel normalization; train mode uses the batch statistics
+    (biased variance) and nudges the running ones in place."""
+    shape = (1, -1, 1, 1)
+    if train:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mu
+        batch_var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        mean += _BN_MOMENTUM * (mu.reshape(-1) - mean)
+        var += _BN_MOMENTUM * (batch_var.reshape(-1) - var)
+        inv = (batch_var + _BN_EPS) ** -0.5
+    else:
+        centered = x - mean.reshape(shape)
+        inv = 1.0 / np.sqrt(var.reshape(shape) + _BN_EPS)
+    xhat = centered * inv
+    return xhat * gamma.reshape(shape) + beta.reshape(shape), xhat, inv
+
+
+def _batchnorm_backward(g, xhat, inv, gamma):
+    """(d gamma, d beta, dx) of train-mode _batchnorm for the output gradient g."""
+    axes = (0, 2, 3)
+    gx = g * gamma.reshape(1, -1, 1, 1)
+    dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+    return (g * xhat).sum(axis=axes), g.sum(axis=axes), dx
+
+
+def _dense_backward(g, x, w):
+    """(dw, db, dx) of x @ w + b for the output gradient g."""
+    return x.T @ g, g.sum(axis=0), g @ w.T
+
+
+def _forward(net: IdNet, x: np.ndarray, train: bool, rng=None):
+    """(f, identity logits, domain logits, cache) for (B, 32, 16) patches.
+
+    Train mode normalizes with batch statistics, updates the running ones
+    and drops trunk units with a mask drawn from rng. The cache holds what
+    _train_step needs for the backward pass.
+    """
+    p, r = net.p, net.running
+    a1, cols1 = _conv(x[:, None], p["conv1_w"], p["conv1_b"])
+    b1, xhat1, inv1 = _batchnorm(a1, p["bn1_g"], p["bn1_b"],
+                                 r["bn1_mean"], r["bn1_var"], train)
+    h1 = b1 * (b1 > 0)
+    a2, cols2 = _conv(h1, p["conv2_w"], p["conv2_b"])
+    b2, xhat2, inv2 = _batchnorm(a2, p["bn2_g"], p["bn2_b"],
+                                 r["bn2_mean"], r["bn2_var"], train)
+    h2 = (b2 * (b2 > 0)).reshape(x.shape[0], -1)
+    mask = None
+    if train:
+        mask = (rng.random(h2.shape) >= DROP_RATE) / (1.0 - DROP_RATE)
+        h2 = h2 * mask
+    f = h2 @ p["project_w"] + p["project_b"]
+    latent = _sigmoid(f @ p["id_hidden_w"] + p["id_hidden_b"])
+    id_logits = latent @ p["id_out_w"] + p["id_out_b"]
+    gated = f * latent
+    dom_hidden = _sigmoid(gated @ p["dom_hidden_w"] + p["dom_hidden_b"])
+    dom_logits = dom_hidden @ p["dom_out_w"] + p["dom_out_b"]
+    cache = {"cols1": cols1, "xhat1": xhat1, "inv1": inv1, "b1": b1,
+             "cols2": cols2, "xhat2": xhat2, "inv2": inv2, "b2": b2,
+             "h2": h2, "mask": mask, "latent": latent, "gated": gated,
+             "dom_hidden": dom_hidden}
+    return f, id_logits, dom_logits, cache
 
 
 def forward(net: IdNet, patches, mode: str = "eval", rng=None):
@@ -127,19 +210,96 @@ def forward(net: IdNet, patches, mode: str = "eval", rng=None):
     if mode not in ("train", "eval"):
         raise FootfallError("mode must be train or eval", mode=mode)
     x = _as_patches(patches)
-    f, id_logits, dom_logits = net.graph(x, train=(mode == "train"), rng=rng)
-    return f.data, _softmax(id_logits.data), _softmax(dom_logits.data)
+    train = mode == "train"
+    if train and rng is None:
+        rng = np.random.default_rng(0)
+    f, id_logits, dom_logits, _ = _forward(net, x, train, rng)
+    return f, _softmax(id_logits), _softmax(dom_logits)
 
 
-def loss_identity(probs, labels) -> float:
-    """Mean negative log of the true-class probabilities."""
-    p = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if p.ndim != 2 or labels.size != p.shape[0] or labels.size == 0:
-        raise FootfallError("probabilities and labels disagree",
-                            probs=list(p.shape), labels=int(labels.size))
-    p_true = p[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(p_true, 1e-12))))
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean -log softmax(logits)[label] and its gradient w.r.t. the logits.
+
+    A true-class probability under the clamp keeps its loss finite but
+    contributes no gradient (the row is treated as a constant).
+    """
+    z = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    rows = np.arange(labels.size)
+    p_true = probs[rows, labels]
+    clamped = p_true < _PROB_CLAMP
+    if clamped.any():
+        warnings.warn("true-class probability clamped at 1e-12", stacklevel=2)
+    loss = -np.mean(np.log(np.maximum(p_true, _PROB_CLAMP)))
+    probs[rows, labels] -= 1.0
+    probs[clamped] = 0.0
+    return float(loss), (1.0 / labels.size) * probs
+
+
+def _update_centers(centers: np.ndarray, features: np.ndarray, labels,
+                   alpha: float = CENTER_ALPHA) -> np.ndarray:
+    """Move each class center toward its batch mean feature.
+
+    c_j <- c_j - alpha * sum_i 1(z_i=j)(c_j - f_i) / (1 + sum_i 1(z_i=j));
+    with alpha = 1 and a single sample the center lands on the midpoint.
+    Classes absent from the batch keep their centers.
+    """
+    out = centers.copy()
+    for j in np.unique(labels):
+        mask = labels == j
+        delta = np.sum(centers[j] - features[mask], axis=0) / (1.0 + mask.sum())
+        out[j] = centers[j] - alpha * delta
+    return out
+
+
+def _train_step(net: IdNet, x, users, domains, centers, lam: float,
+                lam_grl: float, rng):
+    """One train-mode forward and backward pass over a batch.
+
+    Returns ((L_u, L_c, L_delta), gradients keyed like net.p, f). L_c is
+    the batch sum 0.5 * |f - c|^2. With domains None the adversarial branch
+    is skipped: L_delta is 0 and the domain head gets zero gradients.
+    """
+    with np.errstate(all="ignore"):
+        p, m = net.p, x.shape[0]
+        f, id_logits, dom_logits, c = _forward(net, x, True, rng)
+        latent = c["latent"]
+        l_u, g = _cross_entropy(id_logits, users)
+        diff = f - centers[users]
+        l_c = 0.5 * float(np.sum(diff * diff))
+        grads = {}
+        grads["id_out_w"], grads["id_out_b"], g = _dense_backward(g, latent, p["id_out_w"])
+        g = g * latent * (1.0 - latent)
+        grads["id_hidden_w"], grads["id_hidden_b"], g_f = _dense_backward(
+            g, f, p["id_hidden_w"])
+        g_f = g_f + (lam / m) * diff
+        l_d = 0.0
+        if domains is None:
+            for name in ("dom_hidden_w", "dom_hidden_b", "dom_out_w", "dom_out_b"):
+                grads[name] = np.zeros_like(p[name])
+        else:
+            l_d, g = _cross_entropy(dom_logits, domains)
+            s = c["dom_hidden"]
+            grads["dom_out_w"], grads["dom_out_b"], g = _dense_backward(g, s, p["dom_out_w"])
+            g = g * s * (1.0 - s)
+            grads["dom_hidden_w"], grads["dom_hidden_b"], g = _dense_backward(
+                g, c["gated"], p["dom_hidden_w"])
+            g_dom_f = g * latent + (g * f * latent * (1.0 - latent)) @ p["id_hidden_w"].T
+            g_f = g_f - lam_grl * g_dom_f
+        # one backward pass through the trunk
+        grads["project_w"], grads["project_b"], g = _dense_backward(
+            g_f, c["h2"], p["project_w"])
+        b2 = c["b2"]
+        g = (g * c["mask"]).reshape(b2.shape) * (b2 > 0)
+        grads["bn2_g"], grads["bn2_b"], g = _batchnorm_backward(
+            g, c["xhat2"], c["inv2"], p["bn2_g"])
+        grads["conv2_w"], grads["conv2_b"], g = _conv_backward(g, c["cols2"], p["conv2_w"])
+        b1 = c["b1"]
+        g = _fold(g, b1.shape, *p["conv2_w"].shape[2:]) * (b1 > 0)
+        grads["bn1_g"], grads["bn1_b"], g = _batchnorm_backward(
+            g, c["xhat1"], c["inv1"], p["bn1_g"])
+        grads["conv1_w"], grads["conv1_b"], _ = _conv_backward(g, c["cols1"], p["conv1_w"])
+    return (l_u, l_c, l_d), grads, f
 
 
 @dataclass
@@ -187,6 +347,8 @@ class TrainConfig:
         if self.epochs < 1 or self.batch < 1:
             raise FootfallError("epochs and batch must be positive",
                                 epochs=self.epochs, batch=self.batch)
+        if not self.lr > 0:
+            raise FootfallError("learning rate must be positive", lr=self.lr)
         if not 0.0 <= self.val_fraction < 1.0:
             raise FootfallError("val_fraction must be in [0, 1)",
                                 val_fraction=self.val_fraction)
@@ -216,16 +378,14 @@ def _grl_ramp(epoch: int, epochs: int) -> float:
 
 
 def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Adversarial training loop over the three parameter groups.
+    """Adversarial training with momentum SGD (v <- 0.9 v + g; p <- p - lr v).
 
-    Identity head and feature extractor descend L_eta = L_u + lam * L_c
-    with the center term normalized per sample, keeping lam independent of
-    batch size and the projection-layer curvature (lam * |h|^2 / m) inside
-    the step-size stability region; the batch-sum form diverges at this
-    learning rate. The domain head descends L_delta; the extractor
-    additionally ascends L_delta through the reversal weight. Single-domain
-    datasets skip the adversarial branch entirely. Deterministic for a
-    given seed. The log reports the per-sample center loss.
+    The center term of L_eta is normalized per sample, keeping lam
+    independent of batch size and the projection-layer curvature
+    (lam * |h|^2 / m) inside the step-size stability region; the batch-sum
+    form diverges at this learning rate. Single-domain datasets skip the
+    adversarial branch entirely. Deterministic for a given seed. The log
+    reports the per-sample center loss.
     """
     rng = np.random.default_rng(config.seed)
     net = IdNet(dataset.n_users, dataset.n_domains, seed=config.seed)
@@ -238,10 +398,7 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     if train_idx.size == 0:
         raise FootfallError("no training samples left after validation split")
 
-    n_feat = len(net.feature_params())
-    n_id = len(net.identity_params())
-    params = net.params()
-    opt = MomentumSgd(params, lr=config.lr, momentum=0.9)
+    velocity = {name: np.zeros_like(a) for name, a in net.p.items()}
     log = []
     for epoch in range(config.epochs):
         lam_grl = config.lam_grl * _grl_ramp(epoch, config.epochs) if adversarial else 0.0
@@ -250,36 +407,19 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
         n_batches = 0
         for lo in range(0, perm.size, config.batch):
             idx = perm[lo:lo + config.batch]
-            f, id_logits, dom_logits = net.graph(dataset.x[idx], train=True, rng=rng)
-            l_u = cross_entropy(id_logits, dataset.users[idx])
-            l_c = center_loss(f, dataset.users[idx], centers)
-            l_eta = l_u + mul(l_c, config.lam / idx.size)
-            zero_grads(params)
-            backward(l_eta)
-            g_eta = collect_grads(params)
-            l_d_val = 0.0
-            if adversarial:
-                l_d = cross_entropy(dom_logits, dataset.domains[idx])
-                l_d_val = float(l_d.data)
-                zero_grads(params)
-                backward(l_d)
-                g_dom = collect_grads(params)
-            else:
-                g_dom = [np.zeros_like(p.data) for p in params]
-            if not (np.isfinite(l_eta.data) and np.isfinite(l_d_val)):
+            losses, grads, f = _train_step(
+                net, dataset.x[idx], dataset.users[idx],
+                dataset.domains[idx] if adversarial else None,
+                centers, config.lam, lam_grl, rng)
+            if not np.all(np.isfinite(losses)):
                 raise FootfallError("training diverged", epoch=epoch)
-            combined = []
-            for k in range(len(params)):
-                if k < n_feat:
-                    combined.append(g_eta[k] - lam_grl * g_dom[k])
-                elif k < n_feat + n_id:
-                    combined.append(g_eta[k])
-                else:
-                    combined.append(g_dom[k])
-            opt.step(combined)
-            centers = update_centers(centers, f.data, dataset.users[idx],
-                                     alpha=CENTER_ALPHA)
-            sums += (float(l_u.data), float(l_c.data) / idx.size, l_d_val)
+            for name, g in grads.items():
+                v = velocity[name]
+                v *= 0.9
+                v += g
+                net.p[name] -= config.lr * v
+            centers = _update_centers(centers, f, dataset.users[idx])
+            sums += (losses[0], losses[1] / idx.size, losses[2])
             n_batches += 1
         val = (evaluate_accuracy(net, dataset.x[val_idx], dataset.users[val_idx])
                if n_val else evaluate_accuracy(net, dataset.x[train_idx],
@@ -336,7 +476,7 @@ def simulate_voting(p: float, voting: str, trials: int, rng=None) -> float:
 
 
 def _architecture_hash(net: IdNet) -> str:
-    shapes = [list(p.data.shape) for p in net.params()]
+    shapes = [list(a.shape) for a in net.params()]
     blob = json.dumps({"n_users": net.n_users, "n_domains": net.n_domains,
                        "shapes": shapes}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -346,10 +486,8 @@ def save_checkpoint(path, net: IdNet, centers: np.ndarray) -> None:
     """Versioned binary checkpoint with an architecture hash."""
     meta = {"version": _CHECKPOINT_VERSION, "n_users": net.n_users,
             "n_domains": net.n_domains, "arch_hash": _architecture_hash(net)}
-    arrays = {f"param_{i:03d}": p.data for i, p in enumerate(net.params())}
-    arrays.update(bn1_mean=net.bn1.running_mean, bn1_var=net.bn1.running_var,
-                  bn2_mean=net.bn2.running_mean, bn2_var=net.bn2.running_var,
-                  centers=np.asarray(centers, dtype=np.float64))
+    arrays = {f"param_{i:03d}": a for i, a in enumerate(net.params())}
+    arrays.update(net.running, centers=np.asarray(centers, dtype=np.float64))
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
@@ -361,17 +499,15 @@ def load_checkpoint(path):
             raise FootfallError("unsupported checkpoint version",
                                 version=meta.get("version"))
         net = IdNet(meta["n_users"], meta["n_domains"])
-        for i, p in enumerate(net.params()):
+        for i, (name, a) in enumerate(net.p.items()):
             stored = blob[f"param_{i:03d}"]
-            if stored.shape != p.data.shape:
+            if stored.shape != a.shape:
                 raise FootfallError("checkpoint does not fit the architecture",
                                     param=i, stored=list(stored.shape),
-                                    expected=list(p.data.shape))
-            p.data = stored.astype(np.float64)
-        net.bn1.running_mean = blob["bn1_mean"].astype(np.float64)
-        net.bn1.running_var = blob["bn1_var"].astype(np.float64)
-        net.bn2.running_mean = blob["bn2_mean"].astype(np.float64)
-        net.bn2.running_var = blob["bn2_var"].astype(np.float64)
+                                    expected=list(a.shape))
+            net.p[name] = stored.astype(np.float64)
+        for name in net.running:
+            net.running[name] = blob[name].astype(np.float64)
         centers = blob["centers"].astype(np.float64)
     if _architecture_hash(net) != meta["arch_hash"]:
         raise FootfallError("architecture hash mismatch")

@@ -3,14 +3,18 @@ import pytest
 
 from footfall.errors import FootfallError
 from footfall.idnet import (
+    FEATURE_DIM,
     IdNet,
     TrainConfig,
     TrainSet,
+    _batchnorm,
+    _cross_entropy,
+    _train_step,
+    _update_centers,
     evaluate_accuracy,
     forward,
     identify,
     load_checkpoint,
-    loss_identity,
     save_checkpoint,
     simulate_voting,
     train_adversarial,
@@ -74,15 +78,108 @@ def test_forward_rejects_bad_patches():
 
 
 def test_identity_loss_closed_forms():
-    uniform = np.full((10, 6), 1.0 / 6.0)
-    assert loss_identity(uniform, np.zeros(10, dtype=int)) == pytest.approx(
-        np.log(6.0), abs=1e-12)
-    perfect = np.eye(4)
-    assert loss_identity(perfect, np.arange(4)) == pytest.approx(0.0, abs=1e-9)
-    # raising the true-class probability can only lower the loss
-    lo = loss_identity(np.array([[0.3, 0.7]]), np.array([0]))
-    hi = loss_identity(np.array([[0.6, 0.4]]), np.array([0]))
+    loss, grad = _cross_entropy(np.zeros((10, 6)), np.zeros(10, dtype=int))
+    assert loss == pytest.approx(np.log(6.0), abs=1e-12)
+    expected = np.full((10, 6), 1.0 / 6.0)
+    expected[:, 0] -= 1.0
+    assert np.abs(grad - expected / 10).max() < 1e-15  # (softmax - one-hot) / batch
+    perfect, _ = _cross_entropy(50.0 * np.eye(4), np.arange(4))
+    assert perfect == pytest.approx(0.0, abs=1e-9)
+    # raising the true-class logit can only lower the loss
+    lo, _ = _cross_entropy(np.array([[0.3, 0.7]]), np.array([0]))
+    hi, _ = _cross_entropy(np.array([[0.6, 0.4]]), np.array([0]))
     assert hi < lo
+
+
+def test_cross_entropy_clamps_vanishing_truth():
+    with pytest.warns(UserWarning):
+        loss, grad = _cross_entropy(np.array([[800.0, 0.0]]), np.array([1]))
+    assert loss == pytest.approx(-np.log(1e-12))
+    assert np.all(grad == 0.0)  # clamped row contributes no gradient
+
+
+def test_batchnorm_running_stats_converge_to_batch_stats():
+    x = 2.5 + 1.7 * np.random.default_rng(8).standard_normal((16, 4, 9, 7))
+    gamma, beta = np.ones(4), np.zeros(4)
+    mean, var = np.zeros(4), np.ones(4)
+    for _ in range(400):
+        trained, _, _ = _batchnorm(x, gamma, beta, mean, var, train=True)
+    frozen, _, _ = _batchnorm(x, gamma, beta, mean, var, train=False)
+    assert np.abs(frozen - trained).max() < 1e-5
+
+
+def test_update_centers_rules():
+    centers = np.array([[0.0, 0.0], [3.0, 3.0]])
+    feats = np.array([[2.0, 4.0]])
+    moved = _update_centers(centers, feats, np.array([0]), alpha=1.0)
+    assert np.allclose(moved[0], [1.0, 2.0])  # midpoint for a single sample
+    assert np.array_equal(moved[1], centers[1])  # absent class untouched
+    # permutation invariance
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((8, 2))
+    labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    perm = rng.permutation(8)
+    a = _update_centers(centers, f, labels)
+    b = _update_centers(centers, f[perm], labels[perm])
+    assert np.allclose(a, b, atol=1e-12)
+
+
+def test_training_step_gradients_match_central_differences():
+    """Each array's gradient, projected on random directions, against
+    central differences of the loss its group descends."""
+    ds = _toy_dataset(per_cell=1, seed=5)
+    lam, lam_grl, eps = 0.7, 0.37, 1e-7  # at 1e-5 some ReLU inputs cross zero
+    net = IdNet(ds.n_users, ds.n_domains, seed=1)
+    centers = np.random.default_rng(6).standard_normal((ds.n_users, FEATURE_DIM))
+
+    def step():  # the same dropout mask on every call
+        return _train_step(net, ds.x, ds.users, ds.domains, centers, lam, lam_grl,
+                           np.random.default_rng(7))
+
+    def targets():
+        (l_u, l_c, l_d), _, _ = step()
+        l_eta = l_u + lam * l_c / ds.x.shape[0]
+        return {"feature": l_eta - lam_grl * l_d, "identity": l_eta, "domain": l_d}
+
+    _, grads, _ = step()
+    assert set(grads) == set(net.p)
+    rng = np.random.default_rng(8)
+    for k, name in enumerate(net.p):
+        group = "feature" if k < 10 else "identity" if k < 14 else "domain"
+        for _ in range(2):
+            u = rng.standard_normal(net.p[name].shape)
+            base = net.p[name].copy()
+            net.p[name] = base + eps * u
+            hi = targets()[group]
+            net.p[name] = base - eps * u
+            lo = targets()[group]
+            net.p[name] = base
+            numeric = (hi - lo) / (2.0 * eps)
+            analytic = float(np.sum(grads[name] * u))
+            assert abs(analytic - numeric) <= 1e-6 * abs(numeric) + 1e-7, (
+                name, analytic, numeric)
+
+
+def test_training_step_is_momentum_sgd():
+    ds = _toy_dataset(per_cell=3, seed=6)
+    config = TrainConfig(epochs=2, lr=0.003, batch=64, seed=2, val_fraction=0.0)
+    got = train_adversarial(ds, config).net
+    # replay the two single-batch epochs: v <- 0.9 v + g; p <- p - lr v
+    net = IdNet(ds.n_users, ds.n_domains, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(ds.x.shape[0])
+    centers = np.zeros((ds.n_users, FEATURE_DIM))
+    velocity = {name: 0.0 for name in net.p}
+    for lam_grl in (0.0, 1.0):  # the reversal ramp over two epochs
+        idx = order[rng.permutation(order.size)]
+        _, grads, f = _train_step(net, ds.x[idx], ds.users[idx], ds.domains[idx],
+                                  centers, config.lam, lam_grl, rng)
+        for name, g in grads.items():
+            velocity[name] = 0.9 * velocity[name] + g
+            net.p[name] = net.p[name] - config.lr * velocity[name]
+        centers = _update_centers(centers, f, ds.users[idx])
+    for name in net.p:
+        assert np.allclose(got.p[name], net.p[name], rtol=1e-12, atol=1e-15), name
 
 
 def test_voting_closed_form_and_monte_carlo():
@@ -123,8 +220,7 @@ def test_training_is_deterministic():
     a = train_adversarial(ds, TrainConfig(epochs=2, seed=5))
     b = train_adversarial(ds, TrainConfig(epochs=2, seed=5))
     assert a.log == b.log
-    assert all(np.array_equal(p.data, q.data)
-               for p, q in zip(a.net.params(), b.net.params()))
+    assert all(np.array_equal(p, q) for p, q in zip(a.net.params(), b.net.params()))
 
 
 def test_training_loss_trend_decreases(trained):
@@ -147,6 +243,8 @@ def test_trainset_validation():
         TrainSet(x, np.array([0, 1]), np.zeros(4, dtype=int))  # label mismatch
     with pytest.raises(FootfallError):
         TrainConfig(epochs=0)
+    with pytest.raises(FootfallError):
+        TrainConfig(lr=-1.0)
 
 
 def test_checkpoint_roundtrip(tmp_path, trained):

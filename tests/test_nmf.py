@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from footfall import nmf
 from footfall.bss import sdr, sir
 from footfall.dsp import rms, stft
 from footfall.errors import FootfallError
@@ -100,9 +101,19 @@ def test_separation_and_cleanup_are_bitwise_deterministic(duration):
         assert np.array_equal(a, b)
 
 
-def test_interference_at_equal_level_is_pushed_down_10db():
-    mix, foot_clean, voice_clean = _mix_parts(seed=3, sir_db=0.0)
-    foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(3))
+@pytest.mark.parametrize("seed, template_fits", [(3, 0), (4, 2)], ids=["blind", "pinned"])
+def test_interference_at_equal_level_is_pushed_down_10db(monkeypatch, seed, template_fits):
+    calls = []
+    fit = nmf.voice_templates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(nmf, "voice_templates", counted)
+    mix, foot_clean, voice_clean = _mix_parts(seed=seed, sir_db=0.0)
+    foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
+    assert len(calls) == template_fits
     gain = sir(foot, foot_clean, [voice_clean]) - sir(mix, foot_clean, [voice_clean])
     assert gain >= 10.0
 
