@@ -1,220 +1,252 @@
+"""Central-difference checks of the layer gradients IdNet computes by hand.
+
+Each test differentiates one building block of idnet's numpy network
+(elementwise maps, dense and convolution layers, batch-norm, dropout, the
+losses and the gradient reversal) and compares the backward formulas that
+_train_step uses against central differences of a scalar loss.
+"""
+
 import numpy as np
 import pytest
 
-from footfall.errors import FootfallError
-from footfall.nnet import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    Dropout,
-    MomentumSgd,
-    Tensor,
-    add,
-    backward,
-    center_loss,
-    cross_entropy,
-    finite_difference,
-    im2col,
-    matmul,
-    mul,
-    parameter,
-    power,
-    relu,
-    reshape,
-    sigmoid,
-    tmean,
-    transpose,
-    tsum,
-    update_centers,
-    zero_grads,
+from footfall.idnet import (
+    DROP_RATE,
+    FEATURE_DIM,
+    IdNet,
+    _batchnorm,
+    _batchnorm_backward,
+    _conv,
+    _conv_backward,
+    _cross_entropy,
+    _dense_backward,
+    _fold,
+    _forward,
+    _sigmoid,
+    _softmax,
+    _train_step,
 )
 
 RTOL = 1e-4
 
 
-def _assert_grads_match(build, *tensors):
+def _numeric_grad(loss, a, eps=1e-6):
+    """Central differences of loss() with respect to each entry of a, in place."""
+    g = np.zeros_like(a)
+    for i in np.ndindex(a.shape):
+        old = a[i]
+        a[i] = old + eps
+        hi = loss()
+        a[i] = old - eps
+        lo = loss()
+        a[i] = old
+        g[i] = (hi - lo) / (2.0 * eps)
+    return g
+
+
+def _assert_grads_match(loss, *pairs, eps=1e-6):
     """Analytic gradients against central differences, relative to the peak."""
-    zero_grads(tensors)
-    backward(build())
-    for t in tensors:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-        numeric = finite_difference(lambda: build().data, t)
+    for a, analytic in pairs:
+        numeric = _numeric_grad(loss, a, eps)
         scale = max(1e-8, np.abs(numeric).max())
         assert np.abs(analytic - numeric).max() / scale < RTOL
-    zero_grads(tensors)
+
+
+def _toy_batch(n_domains, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((4, 32, 16))
+    users = np.array([0, 1, 0, 1])
+    domains = np.array([0, 1, 1, 0]) if n_domains > 1 else None
+    return IdNet(2, n_domains, seed=seed), x, users, domains
 
 
 def test_elementwise_and_reduction_gradients():
     rng = np.random.default_rng(0)
-    a = parameter(rng.standard_normal((3, 4)))
-    b = parameter(rng.standard_normal((3, 4)))
-    _assert_grads_match(lambda: tsum(mul(add(a, b), a)), a, b)
-    _assert_grads_match(lambda: tmean(sigmoid(mul(a, b))), a, b)
-    _assert_grads_match(lambda: tsum(relu(a)), a)
-    _assert_grads_match(lambda: tsum(power(add(mul(a, a), 0.5), -0.5)), a)
+    z = rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 4))
+    s = _sigmoid(z)
+    _assert_grads_match(lambda: np.sum(w * _sigmoid(z)), (z, w * s * (1.0 - s)))
+    _assert_grads_match(lambda: np.sum(w * (z * (z > 0))), (z, w * (z > 0)))
+    p = _softmax(z)
+    _assert_grads_match(lambda: np.sum(w * _softmax(z)),
+                        (z, p * (w - np.sum(p * w, axis=1, keepdims=True))))
+    # a saturated sigmoid is exactly 0 or 1, without an overflow warning
+    assert _sigmoid(np.array([-800.0]))[0] == 0.0
+    assert _sigmoid(np.array([800.0]))[0] == 1.0
 
 
 def test_bias_broadcast_gradient():
     rng = np.random.default_rng(1)
-    x = parameter(rng.standard_normal((5, 3)))
-    bias = parameter(rng.standard_normal(3))
-    _assert_grads_match(lambda: tsum(mul(add(x, bias), x)), x, bias)
+    x = rng.standard_normal((5, 3))
+    w = rng.standard_normal((3, 2))
+    b = rng.standard_normal(2)
+    weight = rng.standard_normal((5, 2))
+    _, db, _ = _dense_backward(weight, x, w)
+    _assert_grads_match(lambda: np.sum(weight * (x @ w + b)), (b, db))
+    xc = rng.standard_normal((2, 3, 6, 5))
+    wc = rng.standard_normal((4, 3, 3, 2))
+    bc = rng.standard_normal(4)
+    weight_c = rng.standard_normal((2, 4, 4, 4))
+    _, cols = _conv(xc, wc, bc)
+    _, dbc, _ = _conv_backward(weight_c, cols, wc)
+    _assert_grads_match(lambda: np.sum(weight_c * _conv(xc, wc, bc)[0]), (bc, dbc))
 
 
 def test_matmul_and_shape_op_gradients():
     rng = np.random.default_rng(2)
-    a = parameter(rng.standard_normal((3, 4)))
-    w = parameter(rng.standard_normal((4, 5)))
-    _assert_grads_match(lambda: tmean(matmul(a, w)), a, w)
-    b = Tensor(rng.standard_normal((4, 3)))
-    _assert_grads_match(lambda: tsum(mul(transpose(reshape(a, (4, 3)), (1, 0)), a)), a)
+    a = rng.standard_normal((3, 4))
+    w = rng.standard_normal((4, 5))
+    b = np.zeros(5)
+    dw, _, da = _dense_backward(np.full((3, 5), 1.0 / 15), a, w)
+    _assert_grads_match(lambda: np.mean(a @ w + b), (a, da), (w, dw))
+    # the unfold, reshape and transpose of _conv give the direct convolution
+    x = rng.standard_normal((2, 3, 6, 5))
+    wc = rng.standard_normal((4, 3, 3, 2))
+    bc = rng.standard_normal(4)
+    direct = np.zeros((2, 4, 4, 4)) + bc.reshape(1, -1, 1, 1)
+    for i in range(3):
+        for j in range(2):
+            direct += np.einsum("nchw,oc->nohw", x[:, :, i:i + 4, j:j + 4],
+                                wc[:, :, i, j])
+    out, _ = _conv(x, wc, bc)
+    assert np.allclose(out, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_unfold_and_conv_gradients():
     rng = np.random.default_rng(4)
-    x = parameter(rng.standard_normal((2, 3, 6, 5)))
-    _assert_grads_match(lambda: tsum(mul(im2col(x, 3, 2), 1.5)), x)
-    conv = Conv2d(3, 4, 3, 2, rng)
-    _assert_grads_match(lambda: tsum(conv(x)), x, conv.w, conv.b)
+    x = rng.standard_normal((2, 3, 6, 5))
+    w = rng.standard_normal((4, 3, 3, 2))
+    b = rng.standard_normal(4)
+    g_cols = rng.standard_normal((2 * 4 * 4, 3 * 3 * 2))
+    _assert_grads_match(lambda: 1.5 * np.sum(_conv(x, w, b)[1] * g_cols),
+                        (x, 1.5 * _fold(g_cols, x.shape, 3, 2)))
+    weight = rng.standard_normal((2, 4, 4, 4))
+    _, cols = _conv(x, w, b)
+    dw, db, dcols = _conv_backward(weight, cols, w)
+    dx = _fold(dcols, x.shape, 3, 2)
+    _assert_grads_match(lambda: np.sum(weight * _conv(x, w, b)[0]),
+                        (x, dx), (w, dw), (b, db))
 
 
 def test_dense_gradient():
     rng = np.random.default_rng(6)
-    x = parameter(rng.standard_normal((3, 4)))
-    dense = Dense(4, 3, rng)
-    weight = Tensor(rng.standard_normal((3, 3)))
-    _assert_grads_match(lambda: tsum(mul(dense(x), weight)), x, dense.w, dense.b)
+    x = rng.standard_normal((3, 4))
+    w = rng.standard_normal((4, 3))
+    b = rng.standard_normal(3)
+    weight = rng.standard_normal((3, 3))
+    dw, db, dx = _dense_backward(weight, x, w)
+    _assert_grads_match(lambda: np.sum((x @ w + b) * weight), (x, dx), (w, dw), (b, db))
 
 
 def test_batchnorm_gradients_in_both_modes():
     rng = np.random.default_rng(7)
-    x = parameter(rng.standard_normal((2, 3, 6, 5)))
-    weight = Tensor(rng.standard_normal((2, 3, 6, 5)))
-    bn = BatchNorm(3)
+    x = rng.standard_normal((2, 3, 6, 5))
+    weight = rng.standard_normal((2, 3, 6, 5))
+    gamma = 1.0 + 0.3 * rng.standard_normal(3)
+    beta = rng.standard_normal(3)
 
-    def train_loss():
-        bn.running_mean[:] = 0.0  # pin the side effect so fn is pure
-        bn.running_var[:] = 1.0
-        return tsum(mul(bn(x, train=True), weight))
+    def train_loss():  # fresh running statistics keep the loss pure
+        out, _, _ = _batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), True)
+        return np.sum(weight * out)
 
-    _assert_grads_match(train_loss, x, bn.gamma, bn.beta)
-    _assert_grads_match(lambda: tsum(mul(bn(x, train=False), weight)), x,
-                        bn.gamma, bn.beta)
+    _, xhat, inv = _batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), True)
+    dgamma, dbeta, dx = _batchnorm_backward(weight, xhat, inv, gamma)
+    _assert_grads_match(train_loss, (x, dx), (gamma, dgamma), (beta, dbeta))
 
+    mean = rng.standard_normal(3)
+    var = 0.5 + rng.random(3)
+    frozen = (mean.copy(), var.copy())
 
-def test_batchnorm_running_stats_converge_to_batch_stats():
-    rng = np.random.default_rng(8)
-    x = Tensor(2.5 + 1.7 * rng.standard_normal((16, 4, 9, 7)))
-    bn = BatchNorm(4)
-    for _ in range(400):
-        trained = bn(x, train=True)
-    frozen = bn(x, train=False)
-    assert np.abs(frozen.data - trained.data).max() < 1e-5
+    def eval_loss():
+        out, _, _ = _batchnorm(x, gamma, beta, mean, var, False)
+        return np.sum(weight * out)
+
+    _, xhat, inv = _batchnorm(x, gamma, beta, mean, var, False)
+    _assert_grads_match(eval_loss,
+                        (x, weight * gamma.reshape(1, -1, 1, 1) * inv),
+                        (gamma, np.sum(weight * xhat, axis=(0, 2, 3))),
+                        (beta, np.sum(weight, axis=(0, 2, 3))))
+    assert np.array_equal(mean, frozen[0]) and np.array_equal(var, frozen[1])
 
 
 def test_dropout_gradient_with_held_mask():
-    rng = np.random.default_rng(9)
-    a = parameter(rng.standard_normal((4, 6)))
-    drop = Dropout(0.65)
-    _assert_grads_match(
-        lambda: tsum(drop(a, train=True, rng=np.random.default_rng(42))), a)
+    net, x, users, _ = _toy_batch(n_domains=1, seed=9)
+    centers = np.zeros((2, FEATURE_DIM))
+
+    def step(seed):
+        return _train_step(net, x, users, None, centers, 0.0, 0.0,
+                           np.random.default_rng(seed))
+
+    _, grads, _ = step(42)
+    # bn2_b sits upstream of the dropout; the step 1e-7 keeps ReLU inputs
+    # on their side of zero
+    _assert_grads_match(lambda: step(42)[0][0], (net.p["bn2_b"], grads["bn2_b"]),
+                        eps=1e-7)
+    assert not np.allclose(step(43)[1]["bn2_b"], grads["bn2_b"])
+    _, _, _, cache = _forward(net, x, True, np.random.default_rng(42))
+    assert set(np.unique(cache["mask"])) == {0.0, 1.0 / (1.0 - DROP_RATE)}
     # eval mode is the identity
-    out = drop(a, train=False, rng=np.random.default_rng(0))
-    assert np.array_equal(out.data, a.data)
+    _, _, _, cache = _forward(net, x, False)
+    assert cache["mask"] is None
+    b2 = cache["b2"]
+    assert np.array_equal(cache["h2"], (b2 * (b2 > 0)).reshape(x.shape[0], -1))
 
 
 def test_cross_entropy_gradient_and_uniform_value():
     rng = np.random.default_rng(10)
-    logits = parameter(rng.standard_normal((6, 4)))
+    logits = rng.standard_normal((6, 4))
     labels = np.array([0, 1, 2, 3, 1, 0])
-    _assert_grads_match(lambda: cross_entropy(logits, labels), logits)
-    flat = parameter(np.zeros((5, 6)))
-    assert float(cross_entropy(flat, np.zeros(5, dtype=int)).data) == pytest.approx(
-        np.log(6.0), abs=1e-12)
-
-
-def test_cross_entropy_clamps_vanishing_truth():
-    logits = parameter(np.array([[800.0, 0.0]]))
-    with pytest.warns(UserWarning):
-        loss = cross_entropy(logits, np.array([1]))
-    assert float(loss.data) == pytest.approx(-np.log(1e-12))
-    backward(loss)
-    assert np.all(logits.grad == 0.0)  # clamped row contributes no gradient
+    _, grad = _cross_entropy(logits, labels)
+    _assert_grads_match(lambda: _cross_entropy(logits, labels)[0], (logits, grad))
+    loss, _ = _cross_entropy(np.zeros((5, 6)), np.zeros(5, dtype=int))
+    assert loss == pytest.approx(np.log(6.0), abs=1e-12)
 
 
 def test_center_loss_gradient_is_feature_minus_center():
-    rng = np.random.default_rng(11)
-    feats = parameter(rng.standard_normal((6, 5)))
-    centers = rng.standard_normal((3, 5))
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    _assert_grads_match(lambda: center_loss(feats, labels, centers), feats)
-    backward(center_loss(feats, labels, centers))
-    assert np.allclose(feats.grad, feats.data - centers[labels], atol=1e-12)
+    net, x, users, _ = _toy_batch(n_domains=1, seed=11)
+    centers = np.random.default_rng(11).standard_normal((2, FEATURE_DIM))
+    lam, m = 0.7, x.shape[0]
 
+    def step(lam):
+        return _train_step(net, x, users, None, centers, lam, 0.0,
+                           np.random.default_rng(5))
 
-def test_center_loss_values_and_missing_center():
-    centers = np.zeros((2, 3))
-    at_center = parameter(np.zeros((4, 3)))
-    labels = np.array([0, 1, 0, 1])
-    assert float(center_loss(at_center, labels, centers).data) == 0.0
-    away = parameter(np.array([[2.0, 0.0, 0.0]]))
-    assert float(center_loss(away, np.array([0]), centers).data) == pytest.approx(2.0)
-    with pytest.raises(FootfallError):
-        center_loss(away, np.array([5]), centers)
-
-
-def test_update_centers_rules():
-    centers = np.array([[0.0, 0.0], [3.0, 3.0]])
-    feats = np.array([[2.0, 4.0]])
-    moved = update_centers(centers, feats, np.array([0]), alpha=1.0)
-    assert np.allclose(moved[0], [1.0, 2.0])  # midpoint for a single sample
-    assert np.array_equal(moved[1], centers[1])  # absent class untouched
-    # permutation invariance
-    rng = np.random.default_rng(12)
-    f = rng.standard_normal((8, 2))
-    labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    perm = rng.permutation(8)
-    a = update_centers(centers, f, labels)
-    b = update_centers(centers, f[perm], labels[perm])
-    assert np.allclose(a, b, atol=1e-12)
+    (_, l_c, _), with_center, f = step(lam)
+    _, without, _ = step(0.0)
+    diff = f - centers[users]
+    assert l_c == pytest.approx(0.5 * np.sum(diff * diff), rel=1e-12)
+    # dL_c/df = f - c, so through f = h2 @ W + b: dL_c/db = sum_i (f_i - c_i)
+    _assert_grads_match(lambda: step(lam)[0][1],
+                        (net.p["project_b"], diff.sum(axis=0)), eps=1e-7)
+    _, _, _, cache = _forward(net, x, True, np.random.default_rng(5))
+    assert np.allclose(with_center["project_b"] - without["project_b"],
+                       (lam / m) * diff.sum(axis=0), rtol=1e-9, atol=1e-12)
+    assert np.allclose(with_center["project_w"] - without["project_w"],
+                       cache["h2"].T @ ((lam / m) * diff), rtol=1e-9, atol=1e-12)
+    for name in ("id_hidden_w", "id_hidden_b", "id_out_w", "id_out_b"):
+        assert np.array_equal(with_center[name], without[name]), name
 
 
 def test_gradient_reversal_identity():
-    rng = np.random.default_rng(14)
-    logits = parameter(rng.standard_normal((6, 4)))
-    labels = np.array([0, 1, 2, 3, 1, 0])
+    net, x, users, domains = _toy_batch(n_domains=2, seed=14)
+    centers = np.zeros((2, FEATURE_DIM))
     lam = 0.37
-    backward(cross_entropy(logits, labels))
-    plain = logits.grad.copy()
-    zero_grads([logits])
-    backward(mul(cross_entropy(logits, labels), -lam))
-    assert np.abs(logits.grad + lam * plain).max() < 1e-5 * np.abs(plain).max()
 
+    def step(lam_grl):
+        return _train_step(net, x, users, domains, centers, 0.0, lam_grl,
+                           np.random.default_rng(3))
 
-def test_two_losses_through_one_forward_stay_independent():
-    x = parameter(np.ones((2, 2)))
-    shared = mul(x, 1.0)
-    first = tsum(mul(shared, 2.0))
-    second = tsum(mul(shared, 3.0))
-    backward(first)
-    assert np.allclose(x.grad, 2.0)
-    zero_grads([x])
-    backward(second)
-    assert np.allclose(x.grad, 3.0)
-
-
-def test_backward_rejects_non_scalar():
-    x = parameter(np.ones((2, 2)))
-    with pytest.raises(FootfallError):
-        backward(mul(x, 2.0))
-
-
-def test_momentum_sgd_step():
-    p = parameter(np.array([1.0]))
-    opt = MomentumSgd([p], lr=0.1, momentum=0.5)
-    opt.step([np.array([1.0])])
-    assert p.data[0] == pytest.approx(0.9)
-    opt.step([np.array([1.0])])  # velocity: 0.5*1 + 1 = 1.5
-    assert p.data[0] == pytest.approx(0.9 - 0.15)
-    with pytest.raises(FootfallError):
-        MomentumSgd([p], lr=-1.0)
+    plain = step(0.0)[1]
+    full = step(1.0)[1]
+    reversed_ = step(lam)[1]
+    for k, name in enumerate(net.p):
+        if k < 10:  # the feature extractor gets -lam_grl * dL_delta
+            expected = plain[name] + lam * (full[name] - plain[name])
+            scale = np.abs(full[name] - plain[name]).max()
+            assert np.abs(reversed_[name] - expected).max() <= 1e-5 * scale + 1e-12, name
+        else:  # the heads do not see the reversal
+            assert np.array_equal(reversed_[name], plain[name]), name
+    # the sign: the extractor's share is minus the gradient of L_delta,
+    # the domain head's is plus it
+    _assert_grads_match(lambda: step(0.0)[0][2],
+                        (net.p["project_b"], plain["project_b"] - full["project_b"]),
+                        (net.p["dom_out_b"], full["dom_out_b"]), eps=1e-7)
