@@ -46,12 +46,7 @@ def ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     return den
 
 
-def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
-    """Magnitude-and-phase STFT with a periodic Hann window.
-
-    Frames lie fully inside the signal (no padding), so shifting the input by
-    one hop shifts the frame axis by exactly one column.
-    """
+def _check_hop(window_len: int, hop: int) -> None:
     if hop <= 0:
         raise FootfallError("hop must be positive", hop=hop)
     if hop > window_len:
@@ -60,6 +55,15 @@ def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
             hop=hop,
             window_len=window_len,
         )
+
+
+def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
+    """Magnitude-and-phase STFT with a periodic Hann window.
+
+    Frames lie fully inside the signal (no padding), so shifting the input by
+    one hop shifts the frame axis by exactly one column.
+    """
+    _check_hop(window_len, hop)
     frames = _frame(w.samples, window_len, hop)
     window = hann_window(window_len)
     z = np.fft.rfft(frames * window, axis=1).T  # (n_bins, n_frames)
@@ -137,6 +141,7 @@ def analyze_padded(w: Waveform, window_len: int, hop: int) -> tuple[Spectrogram,
     Returns the spectrogram and the offset of the first original sample;
     synthesize_padded inverts it back to the exact original length.
     """
+    _check_hop(window_len, hop)  # before the frame count divides by it
     pad = window_len
     n = w.samples.size
     total = pad + n + pad

@@ -10,10 +10,17 @@ rate, so rhythmic energy settles there while sustained speech lands in the
 rest. The footstep stem is rebuilt through a per-bin Wiener mask and the
 inverse transform; the voice stem is the mixture minus the footstep stem,
 so the two sum back to the input exactly.
+
+The fits use the square-root multiplicative updates of Fevotte & Idier
+(Neural Computation 2011). The sweeps work in float32; inputs and the
+returned model are float64. The divergence track of a fit comes from the
+p/v ratios the sweeps form anyway, summed in float64, and is_divergence is
+the float64 reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,6 +157,22 @@ def _floored(power) -> np.ndarray:
     return np.maximum(p, _POWER_FLOOR * peak)
 
 
+def _check_iters(iters: int) -> None:
+    if iters < 1:
+        raise FootfallError("iters must be >= 1", iters=iters)
+
+
+def _ratios(p, v, inv, ratio, log_ratio) -> float:
+    """Fill inv = 1/v and ratio = p/v; return the divergence from ratio.
+
+    The entries are float32, the sums float64: sum(r) - sum(log r) - N.
+    """
+    np.reciprocal(v, out=inv)
+    np.multiply(p, inv, out=ratio)
+    np.log(ratio, out=log_ratio)
+    return float(ratio.sum(dtype=np.float64) - log_ratio.sum(dtype=np.float64) - p.size)
+
+
 def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
     """In-place multiplicative update sweeps; returns the divergence track.
 
@@ -157,31 +180,66 @@ def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
     of the Itakura-Saito updates, so the divergence never rises. Only the
     first n_free_cols template columns move; the rest stay fixed (their
     activations still adapt), which lets a caller pin pre-fitted templates.
+
+    The sweeps run in float32 on copies of p, w and h, with 1/v, p/v and
+    p/v^2 held in buffers allocated once per call. The result is written
+    back into the float64 w and h, and the moved columns are renormalized to
+    unit L1 there. Each track entry is the divergence of the float32 model,
+    taken from the p/v buffer that the next h-step needs anyway (the last
+    one from one extra pass) and summed in float64; is_divergence is the
+    float64 reference. A power beyond the float32 range (about 3e38) makes
+    the first sweep report divergence.
     """
-    v = w @ h
-    h *= p.mean() / v.mean()  # start at the right overall level
-    v = w @ h
+    f32 = np.float32
+    free = slice(0, n_free_cols)
     track = np.empty(iters + 1)
-    track[0] = is_divergence(p, v)
-    # the isfinite check below is the real guard; overflow en route to it
-    # must not warn
+    # the isfinite check below is the real guard; overflow en route to it,
+    # the float32 casts included, must not warn
     with np.errstate(all="ignore"):
+        p32 = p.astype(f32)
+        w32 = w.astype(f32)
+        h32 = h.astype(f32)
+        v = w32 @ h32
+        h32 *= float(p.mean() / v.mean(dtype=np.float64))  # start at the right overall level
+        np.matmul(w32, h32, out=v)
+        inv = np.empty_like(v)
+        ratio = np.empty_like(v)
+        scratch = np.empty_like(v)  # log(p/v) for the track, then p/v^2
+        h_num = np.empty_like(h32)
+        h_den = np.empty_like(h32)
+        w_num = np.empty((p.shape[0], n_free_cols), dtype=f32)
+        w_den = np.empty_like(w_num)
+        track[0] = _ratios(p32, v, inv, ratio, scratch)
         for i in range(1, iters + 1):
-            h *= np.sqrt((w.T @ (p / (v * v))) / (w.T @ (1.0 / v)))
-            v = w @ h
+            np.multiply(ratio, inv, out=scratch)
+            np.matmul(w32.T, scratch, out=h_num)
+            np.matmul(w32.T, inv, out=h_den)
+            h_num /= h_den
+            h32 *= np.sqrt(h_num, out=h_num)
+            np.matmul(w32, h32, out=v)
             if n_free_cols > 0:
-                free = slice(0, n_free_cols)
-                hf = h[free]
-                w[:, free] *= np.sqrt(((p / (v * v)) @ hf.T) / ((1.0 / v) @ hf.T))
+                hf = h32[free]
+                np.reciprocal(v, out=inv)
+                np.multiply(p32, inv, out=scratch)
+                scratch *= inv
+                np.matmul(scratch, hf.T, out=w_num)
+                np.matmul(inv, hf.T, out=w_den)
+                w_num /= w_den
+                w32[:, free] *= np.sqrt(w_num, out=w_num)
                 # renormalize moved columns; scale shifts into h, w @ h intact
-                scale = w[:, free].sum(axis=0, keepdims=True)
-                w[:, free] /= scale
-                h[free] *= scale.T
-                v = w @ h
-            d = is_divergence(p, v)
+                scale = w32[:, free].sum(axis=0, keepdims=True)
+                w32[:, free] /= scale
+                hf *= scale.T
+                np.matmul(w32, h32, out=v)
+            d = _ratios(p32, v, inv, ratio, scratch)
             if not np.isfinite(d):
                 raise FootfallError("factorization diverged", iteration=i)
             track[i] = d
+    w[:, free] = w32[:, free]
+    scale = w[:, free].sum(axis=0, keepdims=True)
+    w[:, free] /= scale
+    h[...] = h32
+    h[free] *= scale.T
     return track
 
 
@@ -211,6 +269,9 @@ def voice_templates(power: np.ndarray, r_voice: int = R_VOICE, iters: int = ITER
     the model is already accurate and the carving of footstep bins that a
     blind fit commits at low SIR never happens.
     """
+    if r_voice < 1:
+        raise FootfallError("component counts must be >= 1", r_voice=r_voice)
+    _check_iters(iters)
     if rng is None:
         rng = np.random.default_rng(0)
     p = _floored(power)
@@ -239,8 +300,7 @@ def nmf_fit(power: np.ndarray, period_frames: float, r_foot: int = R_FOOTSTEP,
         rng = np.random.default_rng(0)
     if r_foot < 1 or r_voice < 1:
         raise FootfallError("component counts must be >= 1", r_foot=r_foot, r_voice=r_voice)
-    if iters < 1:
-        raise FootfallError("iters must be >= 1", iters=iters)
+    _check_iters(iters)
     p = _floored(power)
     q, n_frames = p.shape
     r = r_foot + r_voice
@@ -293,8 +353,8 @@ def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
     mixture and the voice stem is the mixture minus the footstep stem, so
     both have exactly the input length and sum to the input.
     """
-    if step_freq <= 0:
-        raise FootfallError("step frequency must be positive", step_freq=step_freq)
+    if not (math.isfinite(step_freq) and step_freq > 0):
+        raise FootfallError("step frequency must be finite and positive", step_freq=step_freq)
     if rng is None:
         rng = np.random.default_rng(0)
     spec, offset = analyze_padded(mix, window_len, hop)

@@ -73,6 +73,13 @@ def test_stft_rejects_hop_beyond_window():
         stft(_noise_wave(), window_len=512, hop=513)
 
 
+@pytest.mark.parametrize("hop", [0, -256])
+def test_padded_analysis_rejects_non_positive_hop(hop):
+    with pytest.raises(FootfallError) as err:
+        analyze_padded(_noise_wave(), 512, hop)
+    assert err.value.details["hop"] == hop
+
+
 def test_istft_rejects_non_invertible_overlap():
     # Hann at zero overlap leaves periodic zero-weight samples
     spec = stft(_noise_wave(4096), window_len=512, hop=512)

@@ -3,7 +3,7 @@ import pytest
 
 from footfall import nmf
 from footfall.bss import sdr, sir
-from footfall.dsp import rms, stft
+from footfall.dsp import analyze_padded, rms, stft
 from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona
@@ -11,12 +11,16 @@ from footfall.interferers import babble
 from footfall.nmf import (
     NmfModel,
     comb_activations,
+    is_divergence,
     nmf_fit,
     nmf_separate,
     onset_comb,
     source_masks,
+    step_free_frames,
+    voice_templates,
 )
 from footfall.scenes import AirSource, MicArray, Scene, Trajectory, Walker, render_scene
+from footfall.types import Waveform
 from footfall.wiener import wiener_residual_suppress
 
 FS = 16000
@@ -53,6 +57,53 @@ def _mix_parts(seed=0, sir_db=0.0, duration=8.0, fs=FS):
 
 def _random_power(q=48, p=160, seed=5):
     return np.random.default_rng(seed).uniform(0.05, 1.0, size=(q, p))
+
+
+@pytest.fixture(scope="module", params=[16000, 48000])
+def babble_mix(request):
+    """A 0 dB babble mixture at 16 and at 48 kHz."""
+    mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=request.param)
+    return mix
+
+
+def _power(mix, scale=1.0):
+    """Power spectrogram of the scaled mixture, as nmf_separate forms it."""
+    spec, _ = analyze_padded(Waveform(scale * mix.samples, mix.sample_rate), 512, 256)
+    return spec.magnitudes**2
+
+
+def _branch_start(power, period, branch):
+    """nmf_fit arguments of one branch: blind, or voice templates pinned."""
+    if branch == "blind":
+        return {}
+    rng = np.random.default_rng(3)
+    quiet = step_free_frames(power)
+    return {"voice_w": voice_templates(power[:, quiet], rng=rng),
+            "foot_h": onset_comb(power, period, nmf.R_FOOTSTEP, rng)}
+
+
+@pytest.mark.parametrize("branch", ["blind", "pinned"])
+def test_babble_track_never_rises_and_ends_at_the_model_divergence(babble_mix, branch):
+    power = _power(babble_mix)
+    period = babble_mix.sample_rate / 256 / PACE
+    model, track = nmf_fit(power, period, rng=np.random.default_rng(3),
+                           **_branch_start(power, period, branch))
+    assert np.max(np.diff(track)) <= 1e-9 * max(1.0, abs(track[0]))
+    # the float32 sweeps' track against the float64 divergence of the result
+    final = is_divergence(nmf._floored(power), model.w @ model.h)
+    assert abs(track[-1] - final) <= 1e-5 * final
+
+
+@pytest.mark.parametrize("branch", ["blind", "pinned"])
+def test_babble_footstep_mask_does_not_depend_on_the_mixture_level(babble_mix, branch):
+    period = babble_mix.sample_rate / 256 / PACE
+    start = _branch_start(_power(babble_mix), period, branch)
+    masks = []
+    for scale in (1.0, 1e-3, 1e3):
+        model, _ = nmf_fit(_power(babble_mix, scale), period,
+                           rng=np.random.default_rng(3), **start)
+        masks.append(source_masks(model)[0])
+    assert max(np.abs(m - masks[0]).max() for m in masks[1:]) <= 1e-4
 
 
 def test_divergence_never_rises():
@@ -173,6 +224,30 @@ def test_fit_rejects_bad_inputs():
     bad[3, 4] = np.nan
     with pytest.raises(FootfallError):
         nmf_fit(bad, 20.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"iters": 0}, {"r_voice": 0}], ids=["iters", "r_voice"])
+def test_voice_templates_rejects_bad_counts(kwargs):
+    with pytest.raises(FootfallError) as err:
+        voice_templates(_random_power(), **kwargs)
+    assert err.value.details == kwargs
+
+
+def _noise_mix():
+    return Waveform(np.random.default_rng(0).standard_normal(FS), FS)
+
+
+@pytest.mark.parametrize("step_freq", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_separate_rejects_non_finite_or_non_positive_step_freq(step_freq):
+    with pytest.raises(FootfallError) as err:
+        nmf_separate(_noise_mix(), step_freq)
+    assert "step_freq" in err.value.details
+
+
+def test_separate_rejects_zero_hop():
+    with pytest.raises(FootfallError) as err:
+        nmf_separate(_noise_mix(), PACE, hop=0)
+    assert err.value.details["hop"] == 0
 
 
 def test_diverged_fit_reports_the_iteration():
