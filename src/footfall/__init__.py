@@ -28,7 +28,7 @@ from .scenes import (
     natural_walk,
     render_scene,
 )
-from .types import MfcFeatures, MultichannelWaveform, Spectrogram, Waveform
+from .types import MultichannelWaveform, Spectrogram, Waveform
 
 __all__ = [
     "AirSource",
@@ -37,7 +37,6 @@ __all__ = [
     "FootfallError",
     "FootstepPersona",
     "GroundTruth",
-    "MfcFeatures",
     "MicArray",
     "MultichannelWaveform",
     "NmfModel",

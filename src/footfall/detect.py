@@ -18,6 +18,7 @@ from .mfc import mfc
 from .types import Waveform
 
 MERGE_GAP_S = 0.05
+_GATE_FACTOR = 4.0  # gate threshold over the median frame RMS
 
 
 @dataclass
@@ -69,9 +70,8 @@ def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
     return out
 
 
-def energy_gate(w: Waveform, frame: int, threshold: float,
-                merge_gap_s: float = MERGE_GAP_S) -> list:
-    """Maximal runs of frames with RMS above threshold, gaps < merge_gap_s closed."""
+def energy_gate(w: Waveform, frame: int, threshold: float) -> list:
+    """Maximal runs of frames with RMS above threshold, gaps < MERGE_GAP_S closed."""
     if frame <= 0:
         raise FootfallError("frame length must be positive", frame=frame)
     levels = _frame_rms(w.samples, frame)
@@ -88,44 +88,42 @@ def energy_gate(w: Waveform, frame: int, threshold: float,
     merged = []
     for s, e in segments:
         onset, end = s * dt, min(e * dt, w.duration)
-        if merged and onset - merged[-1][1] < merge_gap_s:
+        if merged and onset - merged[-1][1] < MERGE_GAP_S:
             merged[-1][1] = end
         else:
             merged.append([onset, end])
     return [Segment(onset, end - onset) for onset, end in merged]
 
 
-def gate_threshold(w: Waveform, frame: int, factor: float = 4.0) -> float:
-    """Threshold at factor times the median frame RMS.
+def gate_threshold(w: Waveform, frame: int) -> float:
+    """Threshold at four times the median frame RMS.
 
     The median tracks the noise floor because footsteps are sparse in time.
     """
     levels = _frame_rms(w.samples, frame)
     if levels.size == 0:
         raise FootfallError("waveform too short to estimate a gate threshold")
-    return factor * float(np.median(levels))
+    return _GATE_FACTOR * float(np.median(levels))
 
 
-def classification_features(feats) -> np.ndarray:
+def classification_features(coeffs) -> np.ndarray:
     """Cepstral frames minus coefficient 0, so features ignore absolute level."""
-    coeffs = feats.coeffs if hasattr(feats, "coeffs") else np.asarray(feats, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] < 2:
         raise FootfallError("need at least two cepstral coefficients per frame",
-                            shape=list(np.shape(coeffs)))
+                            shape=list(coeffs.shape))
     return coeffs[:, 1:]
 
 
-def detect_events(w: Waveform, models: dict, frame: int, threshold: float | None = None,
+def detect_events(w: Waveform, models: dict, frame: int,
                   window_len: int = 256, hop: int = 128) -> list:
     """Gate, featurize, and classify: one DetectionEvent per candidate segment.
 
     models maps class label to a GmmModel trained on classification_features
-    output; threshold None picks gate_threshold(w, frame).
+    output; the gate threshold is gate_threshold(w, frame).
     """
-    if threshold is None:
-        threshold = gate_threshold(w, frame)
     events = []
-    for seg in energy_gate(w, frame, threshold):
+    for seg in energy_gate(w, frame, gate_threshold(w, frame)):
         a = int(seg.onset_s * w.sample_rate)
         b = int(seg.end_s * w.sample_rate)
         clip = Waveform(w.samples[a:b], w.sample_rate)

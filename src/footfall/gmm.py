@@ -1,9 +1,9 @@
 """Diagonal-covariance Gaussian mixtures with EM fitting.
 
-Fitting seeds from the best of five k-means++ runs and then iterates EM
-until the mean per-frame log-likelihood gains less than tol. Likelihood is
-guaranteed non-decreasing; the variance floor keeps components from
-collapsing onto single frames.
+Fitting seeds from the best of five k-means++ runs and then iterates EM,
+at most 200 times, until the mean per-frame log-likelihood gains less than
+1e-6. Likelihood is guaranteed non-decreasing; the variance floor keeps
+components from collapsing onto single frames.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from scipy.special import logsumexp
 from .errors import FootfallError
 
 VARIANCE_FLOOR = 1e-6
+_TOL = 1e-6
+_MAX_ITER = 200
+_RESTARTS = 5
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _as_frames(features) -> np.ndarray:
-    if hasattr(features, "coeffs"):
-        features = features.coeffs
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise FootfallError("features must be a (n_frames, dim) matrix", shape=list(X.shape))
@@ -125,8 +126,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int = 15):
     return centers, assign, float(d2[np.arange(X.shape[0]), assign].sum())
 
 
-def gmm_fit(features, k: int, seed: int, tol: float = 1e-6,
-            max_iter: int = 200, restarts: int = 5) -> GmmModel:
+def gmm_fit(features, k: int, seed: int) -> GmmModel:
     """EM fit; deterministic given seed; raises on degenerate data."""
     X = _as_frames(features)
     n, d = X.shape
@@ -139,7 +139,7 @@ def gmm_fit(features, k: int, seed: int, tol: float = 1e-6,
 
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         centers, assign, inertia = _lloyd(X, _kmeans_pp(X, k, rng))
         if best is None or inertia < best[2]:
             best = (centers, assign, inertia)
@@ -157,11 +157,11 @@ def gmm_fit(features, k: int, seed: int, tol: float = 1e-6,
 
     history = []
     model = GmmModel(weights, means, variances)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         log_dens = model._component_log_densities(X)
         frame_ll = logsumexp(log_dens, axis=1)
         history.append(float(frame_ll.mean()))
-        if len(history) > 1 and history[-1] - history[-2] < tol:
+        if len(history) > 1 and history[-1] - history[-2] < _TOL:
             break
         resp = np.exp(log_dens - frame_ll[:, None])
         nk = np.maximum(resp.sum(axis=0), 1e-12)

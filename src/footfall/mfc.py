@@ -11,10 +11,11 @@ import numpy as np
 from scipy.fft import dct
 
 from .dsp import stft
-from .errors import FootfallError
-from .types import MfcFeatures, Waveform
+from .types import Waveform
 
 _LOG_FLOOR = 1e-30
+_N_FILTERS = 26
+_N_COEFFS = 13
 
 
 def hz_to_mel(f):
@@ -25,20 +26,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_filters: int, window_len: int, sample_rate: int, fmin: float = 0.0, fmax: float | None = None
-) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_filters, window_len // 2 + 1)."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if not 0 <= fmin < fmax <= sample_rate / 2.0:
-        raise FootfallError("invalid filterbank band", fmin=fmin, fmax=fmax)
+def mel_filterbank(window_len: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filterbank from 0 Hz to Nyquist, shape (26, window_len // 2 + 1)."""
     n_bins = window_len // 2 + 1
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_filters + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), _N_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_bins) * sample_rate / window_len
-    fb = np.zeros((n_filters, n_bins))
-    for i in range(n_filters):
+    fb = np.zeros((_N_FILTERS, n_bins))
+    for i in range(_N_FILTERS):
         lo, center, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         up = (bin_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - bin_freqs) / max(hi - center, 1e-12)
@@ -46,26 +41,10 @@ def mel_filterbank(
     return fb
 
 
-def mfc(
-    w: Waveform,
-    window_len: int = 512,
-    hop: int = 256,
-    n_filters: int = 26,
-    n_coeffs: int = 13,
-) -> MfcFeatures:
-    """Mel cepstra per frame, shape (n_frames, n_coeffs)."""
-    if n_coeffs > n_filters:
-        raise FootfallError("n_coeffs cannot exceed n_filters", n_coeffs=n_coeffs, n_filters=n_filters)
+def mfc(w: Waveform, window_len: int = 512, hop: int = 256) -> np.ndarray:
+    """Mel cepstra per frame, shape (n_frames, 13), from 26 mel filters."""
     spec = stft(w, window_len, hop)
     power = spec.magnitudes.T ** 2  # (n_frames, n_bins)
-    fb = mel_filterbank(n_filters, window_len, w.sample_rate)
-    mel_energy = power @ fb.T
+    mel_energy = power @ mel_filterbank(window_len, w.sample_rate).T
     log_energy = np.log(np.maximum(mel_energy, _LOG_FLOOR))
-    coeffs = dct(log_energy, type=2, axis=1, norm="ortho")[:, :n_coeffs]
-    return MfcFeatures(
-        coeffs=coeffs,
-        sample_rate=w.sample_rate,
-        window_len=window_len,
-        hop=hop,
-        n_filters=n_filters,
-    )
+    return dct(log_energy, type=2, axis=1, norm="ortho")[:, :_N_COEFFS]

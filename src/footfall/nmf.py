@@ -32,11 +32,16 @@ from .types import Waveform
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
 ITERS = 120
+_WINDOW_LEN = 512
+_HOP = 256
 
 # Relative spectral floor: keeps the divergence finite over padded frames.
 _POWER_FLOOR = 1e-10
 _COMB_WIDTH_FRAMES = 1.0
 _COMB_FLOOR = 0.05
+_ONSET_TAIL = 8  # frames of decay each onset window keeps at most
+_LOUD_FRAC = 0.3  # share of frames that may hold footstep energy
+_GUARD = 6  # frames of impact decay on each side of a loud frame
 
 
 @dataclass
@@ -93,7 +98,7 @@ def is_divergence(p: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(r - np.log(r) - 1.0))
 
 
-def comb_activations(n_frames: int, period_frames: float, n_components: int,
+def comb_activations(n_frames: int, period_frames: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Periodic activation prior: one bump per step period.
 
@@ -104,16 +109,16 @@ def comb_activations(n_frames: int, period_frames: float, n_components: int,
     if period_frames <= 0:
         raise FootfallError("comb period must be positive", period_frames=period_frames)
     t = np.arange(n_frames, dtype=np.float64)
-    rows = np.empty((n_components, n_frames))
-    for j in range(n_components):
+    rows = np.empty((R_FOOTSTEP, n_frames))
+    for j in range(R_FOOTSTEP):
         phase = np.mod(t - j, period_frames)
         dist = np.minimum(phase, period_frames - phase)
         rows[j] = _COMB_FLOOR + np.exp(-0.5 * (dist / _COMB_WIDTH_FRAMES) ** 2)
     return rows * rng.uniform(0.9, 1.1, size=rows.shape)
 
 
-def onset_comb(power: np.ndarray, period_frames: float, n_components: int,
-               rng: np.random.Generator, tail: int = 8) -> np.ndarray:
+def onset_comb(power: np.ndarray, period_frames: float,
+               rng: np.random.Generator) -> np.ndarray:
     """Periodic comb snapped to the observed impact onsets.
 
     Energy peaks at least 0.6 period apart, visited loudest first, give the
@@ -137,9 +142,9 @@ def onset_comb(power: np.ndarray, period_frames: float, n_components: int,
         if all(abs(k - o) >= min_gap for o in onsets):
             onsets.append(int(k))
     if not onsets:
-        return comb_activations(n, period_frames, n_components, rng)
-    h = np.zeros((n_components, n))
-    tail = min(tail, max(1, int(0.35 * period_frames)))
+        return comb_activations(n, period_frames, rng)
+    h = np.zeros((R_FOOTSTEP, n))
+    tail = min(_ONSET_TAIL, max(1, int(0.35 * period_frames)))
     for o in onsets:
         h[:, max(0, o - 1): min(n, o + tail + 1)] = 1.0
     return h * rng.uniform(0.9, 1.1, size=h.shape)
@@ -157,11 +162,6 @@ def _floored(power) -> np.ndarray:
     return np.maximum(p, _POWER_FLOOR * peak)
 
 
-def _check_iters(iters: int) -> None:
-    if iters < 1:
-        raise FootfallError("iters must be >= 1", iters=iters)
-
-
 def _ratios(p, v, inv, ratio, log_ratio) -> float:
     """Fill inv = 1/v and ratio = p/v; return the divergence from ratio.
 
@@ -173,7 +173,7 @@ def _ratios(p, v, inv, ratio, log_ratio) -> float:
     return float(ratio.sum(dtype=np.float64) - log_ratio.sum(dtype=np.float64) - p.size)
 
 
-def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
+def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     """In-place multiplicative update sweeps; returns the divergence track.
 
     Updates use the square-root exponent, the majorization-minimization form
@@ -192,7 +192,7 @@ def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
     """
     f32 = np.float32
     free = slice(0, n_free_cols)
-    track = np.empty(iters + 1)
+    track = np.empty(ITERS + 1)
     # the isfinite check below is the real guard; overflow en route to it,
     # the float32 casts included, must not warn
     with np.errstate(all="ignore"):
@@ -210,7 +210,7 @@ def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
         w_num = np.empty((p.shape[0], n_free_cols), dtype=f32)
         w_den = np.empty_like(w_num)
         track[0] = _ratios(p32, v, inv, ratio, scratch)
-        for i in range(1, iters + 1):
+        for i in range(1, ITERS + 1):
             np.multiply(ratio, inv, out=scratch)
             np.matmul(w32.T, scratch, out=h_num)
             np.matmul(w32.T, inv, out=h_den)
@@ -243,7 +243,7 @@ def _mu_sweeps(p, w, h, iters, n_free_cols) -> np.ndarray:
     return track
 
 
-def step_free_frames(power: np.ndarray, loud_frac: float = 0.3, guard: int = 6) -> np.ndarray:
+def step_free_frames(power: np.ndarray) -> np.ndarray:
     """Boolean mask of frames almost surely free of footstep energy.
 
     Footsteps are impulsive: they occupy a minority of frames and push the
@@ -254,14 +254,13 @@ def step_free_frames(power: np.ndarray, loud_frac: float = 0.3, guard: int = 6) 
     """
     energy = power.sum(axis=0)
     keep = np.ones(energy.size, dtype=bool)
-    loud = energy >= np.quantile(energy, 1.0 - loud_frac)
+    loud = energy >= np.quantile(energy, 1.0 - _LOUD_FRAC)
     for k in np.flatnonzero(loud):
-        keep[max(0, k - guard): k + guard + 1] = False
+        keep[max(0, k - _GUARD): k + _GUARD + 1] = False
     return keep
 
 
-def voice_templates(power: np.ndarray, r_voice: int = R_VOICE, iters: int = ITERS,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def voice_templates(power: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
     """Spectral templates of the continuous interference, from quiet frames.
 
     Fits a plain factorization to the footstep-free frames only; the
@@ -269,22 +268,18 @@ def voice_templates(power: np.ndarray, r_voice: int = R_VOICE, iters: int = ITER
     the model is already accurate and the carving of footstep bins that a
     blind fit commits at low SIR never happens.
     """
-    if r_voice < 1:
-        raise FootfallError("component counts must be >= 1", r_voice=r_voice)
-    _check_iters(iters)
     if rng is None:
         rng = np.random.default_rng(0)
     p = _floored(power)
     q, n_frames = p.shape
-    w = rng.uniform(0.1, 1.0, size=(q, r_voice))
+    w = rng.uniform(0.1, 1.0, size=(q, R_VOICE))
     w /= w.sum(axis=0, keepdims=True)
-    h = rng.uniform(0.1, 1.0, size=(r_voice, n_frames))
-    _mu_sweeps(p, w, h, iters, r_voice)
+    h = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
+    _mu_sweeps(p, w, h, R_VOICE)
     return w
 
 
-def nmf_fit(power: np.ndarray, period_frames: float, r_foot: int = R_FOOTSTEP,
-            r_voice: int = R_VOICE, iters: int = ITERS,
+def nmf_fit(power: np.ndarray, period_frames: float,
             rng: np.random.Generator | None = None,
             voice_w: np.ndarray | None = None,
             foot_h: np.ndarray | None = None) -> tuple[NmfModel, np.ndarray]:
@@ -298,38 +293,35 @@ def nmf_fit(power: np.ndarray, period_frames: float, r_foot: int = R_FOOTSTEP,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if r_foot < 1 or r_voice < 1:
-        raise FootfallError("component counts must be >= 1", r_foot=r_foot, r_voice=r_voice)
-    _check_iters(iters)
     p = _floored(power)
     q, n_frames = p.shape
-    r = r_foot + r_voice
-    w = np.empty((q, r))
-    w[:, :r_foot] = rng.uniform(0.1, 1.0, size=(q, r_foot))
-    w[:, :r_foot] /= w[:, :r_foot].sum(axis=0, keepdims=True)
+    rf = R_FOOTSTEP
+    w = np.empty((q, rf + R_VOICE))
+    w[:, :rf] = rng.uniform(0.1, 1.0, size=(q, rf))
+    w[:, :rf] /= w[:, :rf].sum(axis=0, keepdims=True)
     if voice_w is None:
-        w[:, r_foot:] = rng.uniform(0.1, 1.0, size=(q, r_voice))
-        w[:, r_foot:] /= w[:, r_foot:].sum(axis=0, keepdims=True)
-        n_free = r
+        w[:, rf:] = rng.uniform(0.1, 1.0, size=(q, R_VOICE))
+        w[:, rf:] /= w[:, rf:].sum(axis=0, keepdims=True)
+        n_free = rf + R_VOICE
     else:
         voice_w = np.asarray(voice_w, dtype=np.float64)
-        if voice_w.shape != (q, r_voice):
+        if voice_w.shape != (q, R_VOICE):
             raise FootfallError("voice templates have the wrong shape",
-                                got=tuple(voice_w.shape), want=(q, r_voice))
-        w[:, r_foot:] = voice_w
-        n_free = r_foot
-    h = np.empty((r, n_frames))
+                                got=tuple(voice_w.shape), want=(q, R_VOICE))
+        w[:, rf:] = voice_w
+        n_free = rf
+    h = np.empty((rf + R_VOICE, n_frames))
     if foot_h is None:
-        h[:r_foot] = comb_activations(n_frames, period_frames, r_foot, rng)
+        h[:rf] = comb_activations(n_frames, period_frames, rng)
     else:
         foot_h = np.asarray(foot_h, dtype=np.float64)
-        if foot_h.shape != (r_foot, n_frames):
+        if foot_h.shape != (rf, n_frames):
             raise FootfallError("footstep activation start has the wrong shape",
-                                got=tuple(foot_h.shape), want=(r_foot, n_frames))
-        h[:r_foot] = foot_h
-    h[r_foot:] = rng.uniform(0.1, 1.0, size=(r_voice, n_frames))
-    track = _mu_sweeps(p, w, h, iters, n_free)
-    return NmfModel(w=w, h=h, r_footstep=r_foot, r_voice=r_voice), track
+                                got=tuple(foot_h.shape), want=(rf, n_frames))
+        h[:rf] = foot_h
+    h[rf:] = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
+    track = _mu_sweeps(p, w, h, n_free)
+    return NmfModel(w=w, h=h, r_footstep=rf, r_voice=R_VOICE), track
 
 
 def source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +335,8 @@ def source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
     return foot / total, voice / total
 
 
-def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
-                 r_voice: int = R_VOICE, iters: int = ITERS, window_len: int = 512,
-                 hop: int = 256, rng: np.random.Generator | None = None) -> tuple[Waveform, Waveform]:
+def nmf_separate(mix: Waveform, step_freq: float,
+                 rng: np.random.Generator | None = None) -> tuple[Waveform, Waveform]:
     """Split a single-channel mixture into footstep and voice stems.
 
     step_freq is the accepted pace line in Hz; it sets the comb period of
@@ -357,9 +348,9 @@ def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
         raise FootfallError("step frequency must be finite and positive", step_freq=step_freq)
     if rng is None:
         rng = np.random.default_rng(0)
-    spec, offset = analyze_padded(mix, window_len, hop)
+    spec, offset = analyze_padded(mix, _WINDOW_LEN, _HOP)
     power = spec.magnitudes**2
-    frame_rate = mix.sample_rate / hop
+    frame_rate = mix.sample_rate / _HOP
     period = frame_rate / step_freq
     quiet = step_free_frames(power)
     # With real interference present, the step-free frames carry a clear
@@ -368,19 +359,15 @@ def nmf_separate(mix: Waveform, step_freq: float, r_foot: int = R_FOOTSTEP,
     # the first pass's voice stem. Without interference (nothing to
     # separate), the free-phase comb alone is transparent and confinement
     # would only clip decay tails.
-    if int(quiet.sum()) >= 2 * r_voice and power[:, quiet].sum() > 0.02 * power.sum():
-        voice_w = voice_templates(power[:, quiet], r_voice=r_voice, iters=iters, rng=rng)
-        foot_h = onset_comb(power, period, r_foot, rng)
-        model, _ = nmf_fit(power, period, r_foot=r_foot, r_voice=r_voice,
-                           iters=iters, rng=rng, voice_w=voice_w, foot_h=foot_h)
+    if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
+        voice_w = voice_templates(power[:, quiet], rng=rng)
+        foot_h = onset_comb(power, period, rng)
+        model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
         _, mask_voice = source_masks(model)
-        voice_w = voice_templates(mask_voice**2 * power, r_voice=r_voice,
-                                  iters=iters, rng=rng)
-        model, _ = nmf_fit(power, period, r_foot=r_foot, r_voice=r_voice,
-                           iters=iters, rng=rng, voice_w=voice_w, foot_h=foot_h)
+        voice_w = voice_templates(mask_voice**2 * power, rng=rng)
+        model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
     else:
-        model, _ = nmf_fit(power, period, r_foot=r_foot, r_voice=r_voice,
-                           iters=iters, rng=rng)
+        model, _ = nmf_fit(power, period, rng=rng)
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, mix.samples.size)

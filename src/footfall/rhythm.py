@@ -23,6 +23,7 @@ _LOOKAHEAD = 20
 _SUBHARMONIC_MIN_HZ = 0.75
 _SUBHARMONIC_DROP_DB = 8.0
 _HARMONIC_WINDOW = 2  # bins of slack when locating the octave line
+_ROWS = 3  # lowest spectrogram rows that asacc averages
 
 
 @dataclass
@@ -54,21 +55,21 @@ class StepRhythm:
     reason: str | None = None
 
 
-def asacc(spec: Spectrogram, n_freq_bins_used: int = 3) -> Asacc:
-    """Average autocorrelation of the lowest spectrogram rows.
+def asacc(spec: Spectrogram) -> Asacc:
+    """Average autocorrelation of the lowest three spectrogram rows.
 
     For lag j (in frames, j = 1 is zero lag) and row i:
       B(i, j) = mean_k V(i, k) * V(i, k + j - 1)
-    b(j) averages B over the rows used and is normalized by b(1), which
+    b(j) averages B over those rows and is normalized by b(1), which
     cancels any global gain on the spectrogram.
     """
     V = spec.magnitudes
     if V.size == 0 or V.shape[1] < 2:
         raise FootfallError("spectrogram too small for autocorrelation",
                             shape=list(V.shape))
-    if n_freq_bins_used < 1 or n_freq_bins_used > V.shape[0]:
-        raise FootfallError("bad row count", n_freq_bins_used=n_freq_bins_used)
-    rows = V[:n_freq_bins_used]
+    if V.shape[0] < _ROWS:
+        raise FootfallError(f"spectrogram needs at least {_ROWS} rows", rows=V.shape[0])
+    rows = V[:_ROWS]
     P = rows.shape[1]
     b = np.empty(P)
     for j in range(1, P + 1):
@@ -94,9 +95,8 @@ def _forward_margin(db: np.ndarray, k: int) -> float:
     return float(db[k] - db[k: k + _LOOKAHEAD + 1].mean())
 
 
-def rhythm_present(b: Asacc, frame_rate: float, margin_db: float = MARGIN_DB,
-                   band: tuple = PACE_BAND_HZ) -> StepRhythm:
-    """Accept when the gait comb clears the floor ahead of it by margin_db.
+def rhythm_present(b: Asacc, frame_rate: float) -> StepRhythm:
+    """Accept when the gait comb clears the floor ahead of it by MARGIN_DB.
 
     The lag sequence is mean-removed and Fourier transformed. The dominant
     in-band bin is taken as the pace candidate, stepping down an octave
@@ -118,7 +118,8 @@ def rhythm_present(b: Asacc, frame_rate: float, margin_db: float = MARGIN_DB,
     bin_hz = frame_rate / x.size
     db = 20.0 * np.log10(np.maximum(m, 1e-12 * max(m.max(), 1e-300)))
 
-    in_band = (freqs >= band[0]) & (freqs <= band[1])
+    lo_hz, hi_hz = PACE_BAND_HZ
+    in_band = (freqs >= lo_hz) & (freqs <= hi_hz)
     if not in_band.any():
         raise FootfallError("frame rate too low to resolve the pace band",
                             frame_rate=frame_rate)
@@ -140,12 +141,12 @@ def rhythm_present(b: Asacc, frame_rate: float, margin_db: float = MARGIN_DB,
     kk = min(kk, db.size - _LOOKAHEAD - 1)
     margin = min(_forward_margin(db, k), _forward_margin(db, kk))
 
-    if margin > margin_db:
+    if margin > MARGIN_DB:
         return StepRhythm(True, float(f_hat), margin)
 
     searchable = (freqs >= _SEARCH_HZ[0]) & (freqs <= _SEARCH_HZ[1])
     g = int(np.flatnonzero(searchable)[np.argmax(db[searchable])])
     f_dom = _interp_freq(db, g, bin_hz)
-    if not band[0] <= f_dom <= band[1]:
+    if not lo_hz <= f_dom <= hi_hz:
         return StepRhythm(False, float(f_dom), margin, "outside pace band")
     return StepRhythm(False, float(f_hat), margin, "no rhythmic peak")

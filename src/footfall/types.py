@@ -6,7 +6,7 @@ captures use MultichannelWaveform with shape (n_channels, n_samples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,25 +126,3 @@ class Spectrogram:
         if self.phase is None:
             raise FootfallError("spectrogram has no phase; cannot rebuild complex values")
         return self.magnitudes * np.exp(1j * self.phase)
-
-
-@dataclass
-class MfcFeatures:
-    """Mel-frequency cepstral frames: coeffs (n_frames, n_coeffs)."""
-
-    coeffs: np.ndarray
-    sample_rate: int
-    window_len: int
-    hop: int
-    n_filters: int = field(default=26)
-
-    def __post_init__(self):
-        self.coeffs = _as_float_array(self.coeffs, "coeffs", 2)
-
-    @property
-    def n_frames(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.coeffs.shape[1]

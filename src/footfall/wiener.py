@@ -21,19 +21,14 @@ ALPHA = 0.98  # memory of the a-priori SNR estimate
 GAIN_FLOOR = 0.05
 
 
-def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram,
-                             alpha: float = ALPHA, gain_floor: float = GAIN_FLOOR) -> Waveform:
+def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram) -> Waveform:
     """Suppress stationary residual noise under a per-bin Wiener gain.
 
     noise_floor is a spectrogram of a noise-only stretch (a silent region or
     the voice residual); its per-bin mean power is the noise estimate. The
-    gain is g = max(xi / (1 + xi), gain_floor) with decision-directed xi.
+    gain is g = max(xi / (1 + xi), GAIN_FLOOR) with decision-directed xi.
     Output has exactly the input length; silence stays silence.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise FootfallError("alpha must lie in [0, 1)", alpha=alpha)
-    if not 0.0 <= gain_floor <= 1.0:
-        raise FootfallError("gain floor must lie in [0, 1]", gain_floor=gain_floor)
     if noise_floor.sample_rate != noisy.sample_rate:
         raise FootfallError(
             "noise floor sample rate differs from signal",
@@ -52,8 +47,8 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram,
     prev_clean = np.zeros(n_bins)
     for m in range(n_frames):
         gamma = power[:, m] / noise
-        xi = alpha * (prev_clean / noise) + (1.0 - alpha) * np.maximum(gamma - 1.0, 0.0)
-        g = np.maximum(xi / (1.0 + xi), gain_floor)
+        xi = ALPHA * (prev_clean / noise) + (1.0 - ALPHA) * np.maximum(gamma - 1.0, 0.0)
+        g = np.maximum(xi / (1.0 + xi), GAIN_FLOOR)
         gains[:, m] = g
         prev_clean = g * g * power[:, m]
 

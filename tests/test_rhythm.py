@@ -44,11 +44,12 @@ def _spectrogram(scene):
 
 
 def test_asacc_matches_hand_computation():
-    V = Spectrogram(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0]]),
-                    window_len=2, hop=1, sample_rate=8)
-    got = asacc(V, n_freq_bins_used=2).b
-    # per-lag means: [4, 10/3, 3, 2], then normalized by lag zero
-    assert np.allclose(got, [1.0, 5.0 / 6.0, 0.75, 0.5], atol=1e-12)
+    V = Spectrogram(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0],
+                              [2.0, 0.0, 1.0, 0.0]]),
+                    window_len=4, hop=1, sample_rate=8)
+    got = asacc(V).b
+    # per-lag means: [37/12, 20/9, 7/3, 4/3], then normalized by lag zero
+    assert np.allclose(got, [1.0, 80.0 / 111.0, 28.0 / 37.0, 16.0 / 37.0], atol=1e-12)
 
 
 def test_asacc_is_scale_invariant_with_unit_head():
@@ -73,7 +74,7 @@ def test_asacc_of_periodic_train_peaks_at_period_multiples():
 
 def test_asacc_of_babble_has_no_sharp_lag_peak():
     clip = babble(10.0, FS, np.random.default_rng(7))
-    b = asacc(stft(clip, window_len=256, hop=128), 3).b
+    b = asacc(stft(clip, window_len=256, hop=128)).b
     for j in range(20, b.size - 20):
         local = np.mean(b[j - 20: j + 21])
         assert b[j] < 1.5 * local
@@ -81,9 +82,9 @@ def test_asacc_of_babble_has_no_sharp_lag_peak():
 
 def test_asacc_rejects_tiny_or_silent_input():
     with pytest.raises(FootfallError):
-        asacc(Spectrogram(np.ones((2, 1)), window_len=2, hop=1, sample_rate=8))
+        asacc(Spectrogram(np.ones((3, 1)), window_len=4, hop=1, sample_rate=8))
     with pytest.raises(FootfallError):
-        asacc(Spectrogram(np.zeros((2, 50)), window_len=2, hop=1, sample_rate=8))
+        asacc(Spectrogram(np.zeros((3, 50)), window_len=4, hop=1, sample_rate=8))
 
 
 def test_walk_rhythm_found_through_equal_level_babble():

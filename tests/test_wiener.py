@@ -90,9 +90,3 @@ def test_sample_rate_mismatch_is_rejected():
     with pytest.raises(FootfallError):
         wiener_residual_suppress(Waveform(np.zeros(FS), 2 * FS), profile)
 
-
-def test_smoothing_factor_must_stay_below_one():
-    profile = stft(Waveform(np.random.default_rng(0).standard_normal(FS), FS),
-                   512, 256)
-    with pytest.raises(FootfallError):
-        wiener_residual_suppress(Waveform(np.zeros(FS), FS), profile, alpha=1.0)
