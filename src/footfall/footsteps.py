@@ -49,11 +49,9 @@ class FootstepPersona:
     impact_force_scale: float
     impact_duration_s: float
     modes: tuple[tuple[float, float, float], ...]
-    leg_length_m: float = 0.9
     step_frequency_mean: float = 1.2
     step_frequency_var: float = 0.0025
     speed_mean: float = 0.8
-    speed_var: float = 0.01
 
     def __post_init__(self):
         if self.impact_force_scale < 0:

@@ -162,6 +162,17 @@ def _floored(power) -> np.ndarray:
     return np.maximum(p, _POWER_FLOOR * peak)
 
 
+def _given_start(x, name: str, shape: tuple) -> np.ndarray:
+    """A caller's voice_w or foot_h as float64, of the right shape, finite and >= 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise FootfallError(f"{name} has the wrong shape", argument=name,
+                            got=tuple(x.shape), want=shape)
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        raise FootfallError(f"{name} must be finite and nonnegative", argument=name)
+    return x
+
+
 def _ratios(p, v, inv, ratio, log_ratio) -> float:
     """Fill inv = 1/v and ratio = p/v; return the divergence from ratio.
 
@@ -181,26 +192,29 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     first n_free_cols template columns move; the rest stay fixed (their
     activations still adapt), which lets a caller pin pre-fitted templates.
 
-    The sweeps run in float32 on copies of p, w and h, with 1/v, p/v and
-    p/v^2 held in buffers allocated once per call. The result is written
-    back into the float64 w and h, and the moved columns are renormalized to
-    unit L1 there. Each track entry is the divergence of the float32 model,
-    taken from the p/v buffer that the next h-step needs anyway (the last
-    one from one extra pass) and summed in float64; is_divergence is the
-    float64 reference. A power beyond the float32 range (about 3e38) makes
-    the first sweep report divergence.
+    The sweeps run in float32 on copies of p / max(p), w and h, with 1/v,
+    p/v and p/v^2 held in buffers allocated once per call; dividing by the
+    peak first makes the float32 sweeps the same at any mixture level. The
+    result is written back into the float64 w and h, with the peak restored
+    in h, and the moved columns are renormalized to unit L1 there. Each track
+    entry is the divergence of the float32 model, taken from the p/v buffer
+    that the next h-step needs anyway (the last one from one extra pass) and
+    summed in float64; the divergence is scale-invariant, and is_divergence
+    is the float64 reference.
     """
     f32 = np.float32
     free = slice(0, n_free_cols)
     track = np.empty(ITERS + 1)
+    peak = float(p.max())
     # the isfinite check below is the real guard; overflow en route to it,
     # the float32 casts included, must not warn
     with np.errstate(all="ignore"):
-        p32 = p.astype(f32)
+        p32 = (p / peak).astype(f32)
         w32 = w.astype(f32)
         h32 = h.astype(f32)
         v = w32 @ h32
-        h32 *= float(p.mean() / v.mean(dtype=np.float64))  # start at the right overall level
+        # start at the right overall level
+        h32 *= float(p32.mean(dtype=np.float64) / v.mean(dtype=np.float64))
         np.matmul(w32, h32, out=v)
         inv = np.empty_like(v)
         ratio = np.empty_like(v)
@@ -240,6 +254,7 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     w[:, free] /= scale
     h[...] = h32
     h[free] *= scale.T
+    h *= peak
     return track
 
 
@@ -296,6 +311,14 @@ def nmf_fit(power: np.ndarray, period_frames: float,
     p = _floored(power)
     q, n_frames = p.shape
     rf = R_FOOTSTEP
+    if voice_w is not None:
+        voice_w = _given_start(voice_w, "voice_w", (q, R_VOICE))
+        worst = float(np.max(np.abs(voice_w.sum(axis=0) - 1.0)))
+        if worst > 1e-6:
+            raise FootfallError("voice_w columns must have unit L1 norm",
+                                argument="voice_w", worst=worst)
+    if foot_h is not None:
+        foot_h = _given_start(foot_h, "foot_h", (rf, n_frames))
     w = np.empty((q, rf + R_VOICE))
     w[:, :rf] = rng.uniform(0.1, 1.0, size=(q, rf))
     w[:, :rf] /= w[:, :rf].sum(axis=0, keepdims=True)
@@ -304,20 +327,12 @@ def nmf_fit(power: np.ndarray, period_frames: float,
         w[:, rf:] /= w[:, rf:].sum(axis=0, keepdims=True)
         n_free = rf + R_VOICE
     else:
-        voice_w = np.asarray(voice_w, dtype=np.float64)
-        if voice_w.shape != (q, R_VOICE):
-            raise FootfallError("voice templates have the wrong shape",
-                                got=tuple(voice_w.shape), want=(q, R_VOICE))
         w[:, rf:] = voice_w
         n_free = rf
     h = np.empty((rf + R_VOICE, n_frames))
     if foot_h is None:
         h[:rf] = comb_activations(n_frames, period_frames, rng)
     else:
-        foot_h = np.asarray(foot_h, dtype=np.float64)
-        if foot_h.shape != (rf, n_frames):
-            raise FootfallError("footstep activation start has the wrong shape",
-                                got=tuple(foot_h.shape), want=(rf, n_frames))
         h[:rf] = foot_h
     h[rf:] = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
     track = _mu_sweeps(p, w, h, n_free)

@@ -72,6 +72,19 @@ def _power(mix, scale=1.0):
     return spec.magnitudes**2
 
 
+def _count_template_fits(monkeypatch):
+    """Calls of nmf.voice_templates from here on: 0 in the blind branch, 2 pinned."""
+    calls = []
+    fit = nmf.voice_templates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(nmf, "voice_templates", counted)
+    return calls
+
+
 def _branch_start(power, period, branch):
     """nmf_fit arguments of one branch: blind, or voice templates pinned."""
     if branch == "blind":
@@ -151,14 +164,7 @@ def test_separation_and_cleanup_are_bitwise_deterministic(duration):
 
 @pytest.mark.parametrize("seed, template_fits", [(3, 0), (4, 2)], ids=["blind", "pinned"])
 def test_interference_at_equal_level_is_pushed_down_10db(monkeypatch, seed, template_fits):
-    calls = []
-    fit = nmf.voice_templates
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(nmf, "voice_templates", counted)
+    calls = _count_template_fits(monkeypatch)
     mix, foot_clean, voice_clean = _mix_parts(seed=seed, sir_db=0.0)
     foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
     assert len(calls) == template_fits
@@ -232,9 +238,64 @@ def test_separate_rejects_non_finite_or_non_positive_step_freq(step_freq):
     assert "step_freq" in err.value.details
 
 
+def _pinned_start(seed=2):
+    """A legal voice_w and foot_h for _random_power()."""
+    voice_w = np.random.default_rng(seed).uniform(0.1, 1.0, size=(48, nmf.R_VOICE))
+    voice_w /= voice_w.sum(axis=0, keepdims=True)
+    return voice_w, np.ones((nmf.R_FOOTSTEP, 160))
+
+
 def test_diverged_fit_reports_the_iteration():
-    power = np.random.default_rng(0).uniform(0.5, 1.0, size=(64, 100))
-    power[::2] *= 1e300  # dynamic range overflows the update ratios
+    voice_w, foot_h = _pinned_start()
+    voice_w[5] = 0.0  # no pinned template reaches bin 5 ...
+    voice_w /= voice_w.sum(axis=0, keepdims=True)
+    foot_h[:] = 0.0  # ... and the footstep share is silent, so v is 0 there
     with pytest.raises(FootfallError) as err:
-        nmf_fit(power, 20.0, rng=np.random.default_rng(1))
-    assert "iteration" in err.value.details
+        nmf_fit(_random_power(), 20.0, rng=np.random.default_rng(1),
+                voice_w=voice_w, foot_h=foot_h)
+    assert err.value.details == {"iteration": 1}
+
+
+def test_huge_dynamic_range_fits_with_a_track_that_never_rises():
+    power = np.random.default_rng(0).uniform(0.5, 1.0, size=(64, 100))
+    power[::2] *= 1e300
+    _, track = nmf_fit(power, 20.0, rng=np.random.default_rng(1))
+    assert np.all(np.isfinite(track))
+    assert np.max(np.diff(track)) <= 1e-9 * max(1.0, abs(track[0]))
+
+
+@pytest.mark.parametrize("name, entry", [("voice_w", np.nan), ("voice_w", -0.01),
+                                         ("voice_w", None), ("foot_h", np.inf),
+                                         ("foot_h", -0.01)],
+                         ids=["voice_w-nan", "voice_w-negative", "voice_w-not-unit-L1",
+                              "foot_h-inf", "foot_h-negative"])
+def test_fit_rejects_bad_pinned_starts_by_name(monkeypatch, name, entry):
+    monkeypatch.setattr(nmf, "_mu_sweeps", None)  # rejected before any sweep
+    start = dict(zip(("voice_w", "foot_h"), _pinned_start()))
+    if entry is None:
+        start[name] *= 1.01  # every column sums to 1.01
+    else:
+        start[name][3, 4] = entry
+    with pytest.raises(FootfallError) as err:
+        nmf_fit(_random_power(), 20.0, **start)
+    assert err.value.details["argument"] == name
+    assert name in err.value.message
+
+
+@pytest.mark.parametrize("fs, seed, duration, sir_db, branch", [
+    (16000, 3, 6.0, 0.0, "blind"),
+    (16000, 4, 8.0, 0.0, "pinned"),
+    (48000, 3, 6.0, 10.0, "blind"),
+    (48000, 3, 6.0, 0.0, "pinned"),
+])
+def test_separation_does_not_depend_on_the_mixture_level(monkeypatch, fs, seed, duration,
+                                                          sir_db, branch):
+    calls = _count_template_fits(monkeypatch)
+    mix, _, _ = _mix_parts(seed=seed, sir_db=sir_db, duration=duration, fs=fs)
+    foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
+    assert ("pinned" if calls else "blind") == branch
+    for scale in (1e-3, 1e3):
+        scaled, _ = nmf_separate(Waveform(scale * mix.samples, fs), PACE,
+                                 rng=np.random.default_rng(seed))
+        dev = np.abs(scaled.samples / scale - foot.samples).max()
+        assert dev <= 1e-9 * np.abs(foot.samples).max()

@@ -39,27 +39,29 @@ def _array():
     return MicArray(np.array([[-0.08, 0.0], [0.08, 0.0]]))
 
 
-def _walk_scene(seed=0, **kw):
+def _walk_scene(seed=0, fs=FS, **kw):
     walker = Walker(_persona(), _line([1.0, 1.0], [1.0, 4.0], 5.0))
     defaults = dict(floor=CONCRETE_SLAB, array=_array(), walkers=(walker,),
-                    duration_s=6.0, sample_rate=FS, seed=seed)
+                    duration_s=6.0, sample_rate=fs, seed=seed)
     defaults.update(kw)
     return Scene(**defaults)
 
 
-def test_render_same_seed_is_bit_identical():
-    voice = AirSource(babble(6.0, FS, np.random.default_rng(9)), [3.0, 0.5])
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_render_same_seed_is_bit_identical(fs):
+    voice = AirSource(babble(6.0, fs, np.random.default_rng(9)), [3.0, 0.5])
     kw = dict(voices=(voice,), noise_kind="pink", target_snr_db=20.0, target_sir_db=5.0)
-    out1, truth1 = render_scene(_walk_scene(seed=4, **kw))
-    out2, truth2 = render_scene(_walk_scene(seed=4, **kw))
+    out1, truth1 = render_scene(_walk_scene(seed=4, fs=fs, **kw))
+    out2, truth2 = render_scene(_walk_scene(seed=4, fs=fs, **kw))
     assert np.array_equal(out1.samples, out2.samples)
     assert truth1.step_times().tolist() == truth2.step_times().tolist()
 
 
-def test_walkers_superpose_exactly():
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_walkers_superpose_exactly(fs):
     wa = Walker(_persona("ada"), _line([1.0, 1.0], [1.0, 4.0], 5.0))
     wb = Walker(_persona("bo", force=1.3), _line([2.5, 0.5], [0.5, 2.5], 5.0))
-    base = dict(floor=CONCRETE_SLAB, array=_array(), duration_s=6.0, sample_rate=FS, seed=12)
+    base = dict(floor=CONCRETE_SLAB, array=_array(), duration_s=6.0, sample_rate=fs, seed=12)
     joint, truth = render_scene(Scene(walkers=(wa, wb), **base))
     solo_a, _ = render_scene(Scene(walkers=(wa,), **base))
     solo_b, _ = render_scene(Scene(walkers=(wb,), **base))
@@ -69,18 +71,19 @@ def test_walkers_superpose_exactly():
     assert np.array_equal(truth.stems["ada"], solo_a.samples)
 
 
-def test_mixture_is_sum_of_single_footsteps():
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_mixture_is_sum_of_single_footsteps(fs):
     walker = Walker(_persona(), _line([2.0, 1.0], [2.0, 3.0], 4.0),
                     step_times=np.array([0.8, 1.7, 2.5, 3.3]), perturb_steps=False)
     scene = Scene(floor=CONCRETE_SLAB, array=_array(), walkers=(walker,),
-                  duration_s=5.0, sample_rate=FS, seed=1)
+                  duration_s=5.0, sample_rate=fs, seed=1)
     out, truth = render_scene(scene)
     manual = np.zeros_like(out.samples)
     for step in truth.steps:
-        k = int(round(step.time_s * FS))
+        k = int(round(step.time_s * fs))
         for c, mic in enumerate(scene.array.positions):
             r = float(np.linalg.norm(np.array(step.foot_position) - mic))
-            one = synth_footstep(_persona(), CONCRETE_SLAB, r, FS).samples
+            one = synth_footstep(_persona(), CONCRETE_SLAB, r, fs).samples
             seg = one[: manual.shape[1] - k]
             manual[c, k:k + seg.size] += seg
     rms = np.sqrt(np.mean((out.samples - manual) ** 2))
@@ -129,7 +132,7 @@ def test_natural_walk_strides_match_the_persona():
         name="cy", impact_force_scale=1.0, impact_duration_s=0.002,
         modes=((70.0, 30.0, 1.0), (900.0, 120.0, 0.7)),
         step_frequency_mean=1.2, step_frequency_var=0.0025,
-        speed_mean=0.8, speed_var=0.01,
+        speed_mean=0.8,
     )
     walker = natural_walk(persona, [1.0, 0.0], [1.0, 3.4], np.random.default_rng(6))
     stride = persona.speed_mean / persona.step_frequency_mean
