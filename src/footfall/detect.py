@@ -61,6 +61,8 @@ class DetectionEvent:
 
 
 def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
+    if frame <= 0:
+        raise FootfallError("frame length must be positive", frame=frame)
     n_full = x.size // frame
     out = np.sqrt(np.mean(x[: n_full * frame].reshape(n_full, frame) ** 2, axis=1)) \
         if n_full else np.zeros(0)
@@ -72,8 +74,6 @@ def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
 
 def energy_gate(w: Waveform, frame: int, threshold: float) -> list:
     """Maximal runs of frames with RMS above threshold, gaps < MERGE_GAP_S closed."""
-    if frame <= 0:
-        raise FootfallError("frame length must be positive", frame=frame)
     levels = _frame_rms(w.samples, frame)
     active = levels > threshold
     segments = []

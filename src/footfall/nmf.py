@@ -12,10 +12,12 @@ inverse transform; the voice stem is the mixture minus the footstep stem,
 so the two sum back to the input exactly.
 
 The fits use the square-root multiplicative updates of Fevotte & Idier
-(Neural Computation 2011). The sweeps work in float32; inputs and the
-returned model are float64. The divergence track of a fit comes from the
-p/v ratios the sweeps form anyway, summed in float64, and is_divergence is
-the float64 reference it is tested against.
+(Neural Computation 2011) and, as there, stop once the divergence falls by
+no more than a relative _TOL in one sweep, after at most ITERS sweeps. The
+sweeps work in float32; inputs and the returned model are float64. The
+divergence track of a fit comes from the p/v ratios the sweeps form anyway,
+summed in float32, and is_divergence is the float64 reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .types import Waveform
 
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
-ITERS = 120
+ITERS = 120  # most sweeps of one fit
+_TOL = 3e-4  # a fit stops once one sweep lowers the divergence by no more than this share
 _WINDOW_LEN = 512
 _HOP = 256
 
@@ -98,6 +101,21 @@ def is_divergence(p: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(r - np.log(r) - 1.0))
 
 
+def _check_period(period_frames: float) -> None:
+    if not (math.isfinite(period_frames) and period_frames > 0):
+        raise FootfallError("comb period must be finite and positive",
+                            period_frames=period_frames)
+
+
+def _frame_energy(power: np.ndarray) -> np.ndarray:
+    """Energy of each frame of a (bins, frames) power spectrogram with frames."""
+    power = np.asarray(power)
+    if power.ndim != 2 or power.shape[1] == 0:
+        raise FootfallError("power spectrogram must be 2-d with at least one frame",
+                            shape=tuple(power.shape))
+    return power.sum(axis=0)
+
+
 def comb_activations(n_frames: int, period_frames: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Periodic activation prior: one bump per step period.
@@ -106,8 +124,7 @@ def comb_activations(n_frames: int, period_frames: float,
     the attack and the decay tail of each impact; a small positive floor
     leaves the factorization free to move energy elsewhere.
     """
-    if period_frames <= 0:
-        raise FootfallError("comb period must be positive", period_frames=period_frames)
+    _check_period(period_frames)
     t = np.arange(n_frames, dtype=np.float64)
     rows = np.empty((R_FOOTSTEP, n_frames))
     for j in range(R_FOOTSTEP):
@@ -128,9 +145,8 @@ def onset_comb(power: np.ndarray, period_frames: float,
     never drift into modelling the continuous interference. Falls back to
     the free-phase comb when no clear impacts stand out.
     """
-    if period_frames <= 0:
-        raise FootfallError("comb period must be positive", period_frames=period_frames)
-    energy = power.sum(axis=0)
+    _check_period(period_frames)
+    energy = _frame_energy(power)
     n = energy.size
     min_gap = max(1, int(round(0.6 * period_frames)))
     floor = np.quantile(energy, 0.4)
@@ -176,12 +192,13 @@ def _given_start(x, name: str, shape: tuple) -> np.ndarray:
 def _ratios(p, v, inv, ratio, log_ratio) -> float:
     """Fill inv = 1/v and ratio = p/v; return the divergence from ratio.
 
-    The entries are float32, the sums float64: sum(r) - sum(log r) - N.
+    The entries and their two sums are float32; sum(r) - sum(log r) - N is
+    then taken in float64.
     """
     np.reciprocal(v, out=inv)
     np.multiply(p, inv, out=ratio)
     np.log(ratio, out=log_ratio)
-    return float(ratio.sum(dtype=np.float64) - log_ratio.sum(dtype=np.float64) - p.size)
+    return float(ratio.sum()) - float(log_ratio.sum()) - p.size
 
 
 def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
@@ -191,6 +208,9 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     of the Itakura-Saito updates, so the divergence never rises. Only the
     first n_free_cols template columns move; the rest stay fixed (their
     activations still adapt), which lets a caller pin pre-fitted templates.
+    The sweeps stop after the first one that lowers the divergence by no more
+    than _TOL of its previous value, or after ITERS; the track holds the
+    starting divergence and one entry per sweep run.
 
     The sweeps run in float32 on copies of p / max(p), w and h, with 1/v,
     p/v and p/v^2 held in buffers allocated once per call; dividing by the
@@ -198,13 +218,13 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     result is written back into the float64 w and h, with the peak restored
     in h, and the moved columns are renormalized to unit L1 there. Each track
     entry is the divergence of the float32 model, taken from the p/v buffer
-    that the next h-step needs anyway (the last one from one extra pass) and
-    summed in float64; the divergence is scale-invariant, and is_divergence
-    is the float64 reference.
+    that the next h-step needs anyway and summed in float32; the divergence
+    is scale-invariant, and is_divergence is the float64 reference. The stop
+    depends only on the fit's own arithmetic, so a repeated fit repeats
+    bitwise.
     """
     f32 = np.float32
     free = slice(0, n_free_cols)
-    track = np.empty(ITERS + 1)
     peak = float(p.max())
     # the isfinite check below is the real guard; overflow en route to it,
     # the float32 casts included, must not warn
@@ -223,7 +243,7 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
         h_den = np.empty_like(h32)
         w_num = np.empty((p.shape[0], n_free_cols), dtype=f32)
         w_den = np.empty_like(w_num)
-        track[0] = _ratios(p32, v, inv, ratio, scratch)
+        track = [_ratios(p32, v, inv, ratio, scratch)]
         for i in range(1, ITERS + 1):
             np.multiply(ratio, inv, out=scratch)
             np.matmul(w32.T, scratch, out=h_num)
@@ -246,16 +266,18 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
                 hf *= scale.T
                 np.matmul(w32, h32, out=v)
             d = _ratios(p32, v, inv, ratio, scratch)
-            if not np.isfinite(d):
+            if not math.isfinite(d):
                 raise FootfallError("factorization diverged", iteration=i)
-            track[i] = d
+            track.append(d)
+            if track[-2] - d <= _TOL * track[-2]:
+                break
     w[:, free] = w32[:, free]
     scale = w[:, free].sum(axis=0, keepdims=True)
     w[:, free] /= scale
     h[...] = h32
     h[free] *= scale.T
     h *= peak
-    return track
+    return np.array(track)
 
 
 def step_free_frames(power: np.ndarray) -> np.ndarray:
@@ -267,7 +289,7 @@ def step_free_frames(power: np.ndarray) -> np.ndarray:
     continuous interference; unlike a lowest-energy pick this keeps the
     interference at all its levels, not just its own quiet gaps.
     """
-    energy = power.sum(axis=0)
+    energy = _frame_energy(power)
     keep = np.ones(energy.size, dtype=bool)
     loud = energy >= np.quantile(energy, 1.0 - _LOUD_FRAC)
     for k in np.flatnonzero(loud):
@@ -301,7 +323,8 @@ def nmf_fit(power: np.ndarray, period_frames: float,
     """Factor a power spectrogram into footstep and voice components.
 
     Returns the fitted model and the divergence track (starting value plus
-    one entry per sweep); the track is non-increasing. When voice_w is given
+    one entry per sweep run: at most ITERS, fewer once a sweep lowers the
+    divergence by no more than a relative _TOL); the track is non-increasing. When voice_w is given
     those templates are pinned and only their activations adapt; otherwise
     the voice share starts random and moves freely. foot_h overrides the
     footstep activation start (default: free-phase comb at period_frames).

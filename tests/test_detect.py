@@ -72,6 +72,12 @@ def test_gate_threshold_tracks_the_noise_floor():
     assert gate_threshold(w, 160) == pytest.approx(0.04, rel=0.2)
 
 
+def test_gate_threshold_rejects_a_zero_frame():
+    with pytest.raises(FootfallError) as err:
+        gate_threshold(Waveform(np.ones(FS), FS), 0)
+    assert err.value.details == {"frame": 0}
+
+
 def test_classification_features_drop_level():
     clip = Waveform(babble(0.5, FS, np.random.default_rng(2)).samples, FS)
     loud = Waveform(8.0 * clip.samples, FS)

@@ -95,6 +95,54 @@ def _branch_start(power, period, branch):
             "foot_h": onset_comb(power, period, rng)}
 
 
+def _sweep_counts(monkeypatch):
+    """Sweeps run by each fit from here on."""
+    counts = []
+    sweeps = nmf._mu_sweeps
+
+    def counted(*args):
+        track = sweeps(*args)
+        counts.append(len(track) - 1)
+        return track
+
+    monkeypatch.setattr(nmf, "_mu_sweeps", counted)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def pinned_16k():
+    """Power, comb period and pinned start of the 16 kHz babble mixture."""
+    mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0)
+    power = _power(mix)
+    period = FS / 256 / PACE
+    return power, period, _branch_start(power, period, "pinned")
+
+
+def test_converged_fit_stops_after_its_first_small_decrease(pinned_16k):
+    power, period, start = pinned_16k
+    _, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    assert len(track) < nmf.ITERS + 1
+    decrease = track[:-1] - track[1:]
+    assert decrease[-1] <= nmf._TOL * track[-2]
+    assert np.all(decrease[:-1] > nmf._TOL * track[:-2])
+
+
+def test_unconverged_template_fit_runs_every_sweep(monkeypatch, pinned_16k):
+    power = pinned_16k[0]
+    counts = _sweep_counts(monkeypatch)
+    voice_templates(power[:, step_free_frames(power)], rng=np.random.default_rng(3))
+    assert counts == [nmf.ITERS]
+
+
+def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(pinned_16k):
+    power, period, start = pinned_16k
+    (m1, t1), (m2, t2) = (nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+                          for _ in range(2))
+    assert len(t1) == len(t2) < nmf.ITERS + 1
+    assert np.array_equal(t1, t2)
+    assert np.array_equal(m1.w, m2.w) and np.array_equal(m1.h, m2.h)
+
+
 @pytest.mark.parametrize("branch", ["blind", "pinned"])
 def test_babble_track_never_rises_and_ends_at_the_model_divergence(babble_mix, branch):
     power = _power(babble_mix)
@@ -188,6 +236,31 @@ def test_comb_activations_bump_once_per_period():
     # bump tops at period multiples, floor in between (first component)
     assert rows[0, ::25].min() > 0.8
     assert rows[0, 12::25].max() < 0.1
+
+
+@pytest.mark.parametrize("period", [float("nan"), float("inf")])
+def test_comb_activations_reject_a_non_finite_period(period):
+    with pytest.raises(FootfallError) as err:
+        comb_activations(200, period, np.random.default_rng(0))
+    assert "period_frames" in err.value.details
+
+
+def test_onset_comb_rejects_a_nan_period():
+    with pytest.raises(FootfallError) as err:
+        onset_comb(_random_power(), float("nan"), np.random.default_rng(0))
+    assert "period_frames" in err.value.details
+
+
+def test_onset_comb_rejects_a_power_without_frames():
+    with pytest.raises(FootfallError) as err:
+        onset_comb(np.ones((16, 0)), 20.0, np.random.default_rng(0))
+    assert err.value.details == {"shape": (16, 0)}
+
+
+def test_step_free_frames_rejects_a_power_without_frames():
+    with pytest.raises(FootfallError) as err:
+        step_free_frames(np.ones((16, 0)))
+    assert err.value.details == {"shape": (16, 0)}
 
 
 def test_onset_comb_opens_windows_only_at_impacts():
