@@ -391,12 +391,12 @@ def nmf_separate(mix: Waveform, step_freq: float,
     frame_rate = mix.sample_rate / _HOP
     period = frame_rate / step_freq
     quiet = step_free_frames(power)
-    # With real interference present, the step-free frames carry a clear
-    # energy share; pin voice templates learned there and confine footstep
-    # activations to the observed impacts, then refine the templates once on
-    # the first pass's voice stem. Without interference (nothing to
-    # separate), the free-phase comb alone is transparent and confinement
-    # would only clip decay tails.
+    # Footstep activations start confined to the observed impacts in both
+    # branches. With real interference present, the step-free frames carry
+    # a clear energy share; pin voice templates learned there, then refine
+    # the templates once on the first pass's voice stem. Otherwise one blind
+    # fit runs: left to the free-phase comb, it can model the steps with the
+    # voice components and leave the footstep stem near silent.
     if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
         foot_h = onset_comb(power, period, rng)
@@ -405,7 +405,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
         voice_w = voice_templates(mask_voice**2 * power, rng=rng)
         model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
     else:
-        model, _ = nmf_fit(power, period, rng=rng)
+        model, _ = nmf_fit(power, period, rng=rng, foot_h=onset_comb(power, period, rng))
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, mix.samples.size)

@@ -5,7 +5,7 @@ from footfall import nmf
 from footfall.bss import sdr, sir
 from footfall.dsp import analyze_padded, rms, stft
 from footfall.errors import FootfallError
-from footfall.floors import CONCRETE_SLAB
+from footfall.floors import CONCRETE_SLAB, WOOD_JOIST
 from footfall.footsteps import FootstepPersona
 from footfall.interferers import babble
 from footfall.nmf import (
@@ -19,7 +19,15 @@ from footfall.nmf import (
     step_free_frames,
     voice_templates,
 )
-from footfall.scenes import AirSource, MicArray, Scene, Trajectory, Walker, render_scene
+from footfall.scenes import (
+    AirSource,
+    MicArray,
+    Scene,
+    Trajectory,
+    Walker,
+    natural_walk,
+    render_scene,
+)
 from footfall.types import Waveform
 from footfall.wiener import wiener_residual_suppress
 
@@ -230,6 +238,22 @@ def test_zero_voice_mixture_passes_through():
     assert rms(voice) < 0.05 * rms(mix)
 
 
+def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatch):
+    # no interference at all: the free-phase comb, in phase with frame 0,
+    # lost these steps to the voice components (SDR about -60 dB)
+    calls = _count_template_fits(monkeypatch)
+    walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0], np.random.default_rng(0),
+                          start_time=0.5)
+    scene = Scene(floor=WOOD_JOIST, array=MicArray(np.array([[0.0, 0.0]])),
+                  walkers=(walker,), duration_s=4.0, sample_rate=48000, seed=0)
+    out, truth = render_scene(scene)
+    mix, clean = out.channel(0), truth.footstep_mix()[0]
+    foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(0))
+    assert not calls
+    assert sdr(foot, clean) >= 5.0
+    assert rms(foot) >= 0.8 * rms(mix)
+
+
 def test_comb_activations_bump_once_per_period():
     rows = comb_activations(200, 25.0, np.random.default_rng(0))
     assert rows.shape == (nmf.R_FOOTSTEP, 200)
@@ -238,28 +262,24 @@ def test_comb_activations_bump_once_per_period():
     assert rows[0, 12::25].max() < 0.1
 
 
-@pytest.mark.parametrize("period", [float("nan"), float("inf")])
-def test_comb_activations_reject_a_non_finite_period(period):
+@pytest.mark.parametrize("comb, period", [
+    (lambda p, rng: comb_activations(200, p, rng), float("nan")),
+    (lambda p, rng: comb_activations(200, p, rng), float("inf")),
+    (lambda p, rng: onset_comb(_random_power(), p, rng), float("nan")),
+], ids=["comb_activations-nan", "comb_activations-inf", "onset_comb-nan"])
+def test_combs_reject_a_non_finite_period(comb, period):
     with pytest.raises(FootfallError) as err:
-        comb_activations(200, period, np.random.default_rng(0))
+        comb(period, np.random.default_rng(0))
     assert "period_frames" in err.value.details
 
 
-def test_onset_comb_rejects_a_nan_period():
+@pytest.mark.parametrize("frame_fn", [
+    step_free_frames,
+    lambda power: onset_comb(power, 20.0, np.random.default_rng(0)),
+], ids=["step_free_frames", "onset_comb"])
+def test_power_without_frames_is_rejected(frame_fn):
     with pytest.raises(FootfallError) as err:
-        onset_comb(_random_power(), float("nan"), np.random.default_rng(0))
-    assert "period_frames" in err.value.details
-
-
-def test_onset_comb_rejects_a_power_without_frames():
-    with pytest.raises(FootfallError) as err:
-        onset_comb(np.ones((16, 0)), 20.0, np.random.default_rng(0))
-    assert err.value.details == {"shape": (16, 0)}
-
-
-def test_step_free_frames_rejects_a_power_without_frames():
-    with pytest.raises(FootfallError) as err:
-        step_free_frames(np.ones((16, 0)))
+        frame_fn(np.ones((16, 0)))
     assert err.value.details == {"shape": (16, 0)}
 
 
