@@ -108,7 +108,7 @@ def _check_period(period_frames: float) -> None:
 
 
 def _frame_energy(power: np.ndarray) -> np.ndarray:
-    """Energy of each frame of a (bins, frames) power spectrogram with frames."""
+    """Per-frame energy of a (bins, frames) power spectrogram; it needs a frame."""
     power = np.asarray(power)
     if power.ndim != 2 or power.shape[1] == 0:
         raise FootfallError("power spectrogram must be 2-d with at least one frame",
@@ -324,10 +324,11 @@ def nmf_fit(power: np.ndarray, period_frames: float,
 
     Returns the fitted model and the divergence track (starting value plus
     one entry per sweep run: at most ITERS, fewer once a sweep lowers the
-    divergence by no more than a relative _TOL); the track is non-increasing. When voice_w is given
-    those templates are pinned and only their activations adapt; otherwise
-    the voice share starts random and moves freely. foot_h overrides the
-    footstep activation start (default: free-phase comb at period_frames).
+    divergence by no more than a relative _TOL); the track is
+    non-increasing. When voice_w is given those templates are pinned and
+    only their activations adapt; otherwise the voice share starts random
+    and moves freely. foot_h overrides the footstep activation start
+    (default: free-phase comb at period_frames).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -395,8 +396,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # branches. With real interference present, the step-free frames carry
     # a clear energy share; pin voice templates learned there, then refine
     # the templates once on the first pass's voice stem. Otherwise one blind
-    # fit runs: left to the free-phase comb, it can model the steps with the
-    # voice components and leave the footstep stem near silent.
+    # fit runs; from the free-phase comb, whose bumps sit at period
+    # multiples from frame 0, steps out of that phase would end up in the
+    # voice components.
     if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
         foot_h = onset_comb(power, period, rng)

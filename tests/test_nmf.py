@@ -239,8 +239,8 @@ def test_zero_voice_mixture_passes_through():
 
 
 def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatch):
-    # no interference at all: the free-phase comb, in phase with frame 0,
-    # lost these steps to the voice components (SDR about -60 dB)
+    # no interference at all, and steps out of phase with frame 0: a fit
+    # started from the free-phase comb leaves them in the voice stem
     calls = _count_template_fits(monkeypatch)
     walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0], np.random.default_rng(0),
                           start_time=0.5)
