@@ -17,7 +17,7 @@ that precedes the airborne arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -85,12 +85,24 @@ class FootstepPersona:
 
 @dataclass
 class FootstepParts:
-    """Range-independent templates of one step on one floor."""
+    """Range-independent templates of one step on one floor.
+
+    The templates are read-only once made: the spectrum of structure_source
+    is kept for the last FFT length asked for, because the microphones of
+    one step mostly share it.
+    """
 
     sample_rate: int
     air_template: np.ndarray
     structure_source: np.ndarray  # low-pass weighted modes, before dispersion
     max_mode_hz: float
+    _spectrum: tuple = field(default=(0, None), init=False, repr=False, compare=False)
+
+    def _structure_spectrum(self, n: int) -> np.ndarray:
+        """rfft of structure_source zero-padded to n samples."""
+        if self._spectrum[0] != n:
+            self._spectrum = (n, np.fft.rfft(self.structure_source, n))
+        return self._spectrum[1]
 
 
 def impact_pulse(duration_s: float, sample_rate: int, scale: float) -> np.ndarray:
@@ -168,14 +180,29 @@ def dispersive_delay(
     composite Simpson rule so the discretization noise stays nanoradian.
     The output is padded so the slowest arrival fits without wrapping.
     """
-    if range_m <= 0:
-        raise FootfallError("range must be positive", range_m=range_m)
+    _check_range(range_m, np.inf)
+    n = _dispersed_length(x.size, material, range_m, sample_rate)
+    return _disperse(np.fft.rfft(x, n), n, material, range_m, sample_rate)
+
+
+def _check_range(range_m: float, limit: float):
+    if not (np.isfinite(range_m) and 0 < range_m <= limit):
+        raise FootfallError("range out of bounds", range_m=range_m)
+
+
+def _dispersed_length(size: int, material: FloorMaterial, range_m: float,
+                      sample_rate: int) -> int:
+    """FFT length that holds `size` samples plus the slowest arrival."""
+    tau_max = range_m / (dispersion_speed(material, 1.0) * np.sqrt(_DISPERSION_CUTOFF_HZ))
+    pad = int(np.ceil(sample_rate * (tau_max + 0.001)))
+    return next_fast_len(size + pad)
+
+
+def _disperse(spectrum: np.ndarray, n: int, material: FloorMaterial, range_m: float,
+              sample_rate: int) -> np.ndarray:
+    """The dispersive phase applied to an rfft of length n, back in time."""
     speed_at_1hz = dispersion_speed(material, 1.0)
     f_lo = _DISPERSION_CUTOFF_HZ
-    tau_max = range_m / (speed_at_1hz * np.sqrt(f_lo))
-    pad = int(np.ceil(sample_rate * (tau_max + 0.001)))
-    n = next_fast_len(x.size + pad)
-    spectrum = np.fft.rfft(x, n)
     f = np.fft.rfftfreq(n, 1.0 / sample_rate)
 
     def tau(freq):
@@ -203,11 +230,15 @@ def place_footstep(
 
     offset is the sample index of the impact instant. Returns the buffer.
     """
-    if range_m <= 0 or range_m > 150.0:
-        raise FootfallError("range out of bounds", range_m=range_m)
+    _check_range(range_m, 150.0)
+    if offset < 0:
+        raise FootfallError("offset must be nonnegative", offset=offset)
     fs = parts.sample_rate
     air_delay = int(round(fs * range_m / material.air_speed))
-    dispersed = dispersive_delay(parts.structure_source, material, range_m, fs) if structure else None
+    dispersed = None
+    if structure:
+        n_fft = _dispersed_length(parts.structure_source.size, material, range_m, fs)
+        dispersed = _disperse(parts._structure_spectrum(n_fft), n_fft, material, range_m, fs)
     if out is None:
         longest = air_delay + parts.air_template.size
         if dispersed is not None:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FootfallError
-from .types import Waveform
+from .types import Waveform, _as_rate
 
 VOICE_TOP_HZ = 3800.0
 _BREATH_LO_HZ = 300.0
 _BREATH_LEVEL = 0.12
 _SYLLABLE_RAMP_S = 0.02
+_HARMONIC_BLOCK = 8192  # samples per Horner pass; bounds the complex temporaries
 
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,15 +76,33 @@ def _syllable_envelope(n: int, sample_rate: int, rng: np.random.Generator) -> np
     return env
 
 
+def _harmonic_sum(phase: np.ndarray, n_harmonics: int) -> np.ndarray:
+    """sum_k sin(k * phase) / k for k = 1..n_harmonics.
+
+    The imaginary part of sum_k z^k / k with z = exp(1j * phase), evaluated
+    by Horner's rule one block of samples at a time. Powers of a unit z
+    carry no rounding of k * phase, so this is closer to the exact sum than
+    summing np.sin(k * phase) / k once the phase has run to thousands of
+    radians.
+    """
+    out = np.empty(phase.size)
+    for start in range(0, phase.size, _HARMONIC_BLOCK):
+        z = np.exp(1j * phase[start:start + _HARMONIC_BLOCK])
+        acc = np.full(z.size, 1.0 / n_harmonics, dtype=complex)
+        for k in range(n_harmonics - 1, 0, -1):
+            acc *= z
+            acc += 1.0 / k
+        acc *= z
+        out[start:start + z.size] = acc.imag
+    return out
+
+
 def _talker(n: int, sample_rate: int, rng: np.random.Generator,
             lo: float, hi: float) -> np.ndarray:
     top = min(VOICE_TOP_HZ, 0.45 * sample_rate)
     f0 = _pitch_contour(n, sample_rate, rng, lo, hi)
     phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
-    n_harmonics = max(1, int(top / np.max(f0)))
-    voiced = np.zeros(n)
-    for k in range(1, n_harmonics + 1):
-        voiced += np.sin(k * phase) / k
+    voiced = _harmonic_sum(phase, max(1, int(top / np.max(f0))))
 
     breath = np.fft.rfft(rng.standard_normal(n))
     f = np.fft.rfftfreq(n, 1.0 / sample_rate)
@@ -98,14 +117,18 @@ def _talker(n: int, sample_rate: int, rng: np.random.Generator,
 def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
            n_talkers: int = 4, pitch_lo: float = 110.0, pitch_hi: float = 290.0) -> Waveform:
     """Unit-RMS chorus of n_talkers synthetic voices."""
-    if duration_s <= 0:
-        raise FootfallError("duration must be positive", duration_s=duration_s)
+    sample_rate = _as_rate(sample_rate)
+    if not (np.isfinite(duration_s) and duration_s > 0):
+        raise FootfallError("duration must be positive and finite", duration_s=duration_s)
     if n_talkers < 1:
         raise FootfallError("need at least one talker", n_talkers=n_talkers)
     if pitch_lo < 110.0 or pitch_hi <= pitch_lo:
         raise FootfallError("pitch range must sit at or above 110 Hz",
                             pitch_lo=pitch_lo, pitch_hi=pitch_hi)
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise FootfallError("duration is shorter than one sample",
+                            duration_s=duration_s, sample_rate=sample_rate)
     x = np.zeros(n)
     for _ in range(n_talkers):
         x += _talker(n, sample_rate, rng, pitch_lo, pitch_hi)

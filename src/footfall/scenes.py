@@ -348,23 +348,26 @@ def render_scene(scene: Scene) -> tuple:
         for source in scene.voices:
             _render_air_source(source, scene, voice_stem)
 
+    foot_e = _energy(foot_mix)
+    voice_e = _energy(voice_stem) if voice_stem is not None else 0.0
     achieved_sir = None
-    if voice_stem is not None and scene.target_sir_db is not None and _energy(foot_mix) > 0:
+    if voice_stem is not None and scene.target_sir_db is not None and foot_e > 0:
         want = 10.0 ** (scene.target_sir_db / 10.0)
-        voice_stem *= np.sqrt(_energy(foot_mix) / (_energy(voice_stem) * want))
-        achieved_sir = 10.0 * np.log10(_energy(foot_mix) / _energy(voice_stem))
+        voice_stem *= np.sqrt(foot_e / (voice_e * want))
+        voice_e = _energy(voice_stem)
+        achieved_sir = 10.0 * np.log10(foot_e / voice_e)
 
-    reference = foot_mix if _energy(foot_mix) > 0 else voice_stem
+    reference_e = foot_e if foot_e > 0 else voice_e
     noise_stem = None
     achieved_snr = None
     if scene.noise_kind is not None:
         rng = _stream(scene.seed, "ambient:" + scene.noise_kind)
         make = white_noise if scene.noise_kind == "white" else pink_noise
         noise_stem = np.stack([make(n, rng) for _ in range(n_mics)])
-        if scene.target_snr_db is not None and reference is not None and _energy(reference) > 0:
+        if scene.target_snr_db is not None and reference_e > 0:
             want = 10.0 ** (scene.target_snr_db / 10.0)
-            noise_stem *= np.sqrt(_energy(reference) / (_energy(noise_stem) * want))
-            achieved_snr = 10.0 * np.log10(_energy(reference) / _energy(noise_stem))
+            noise_stem *= np.sqrt(reference_e / (_energy(noise_stem) * want))
+            achieved_snr = 10.0 * np.log10(reference_e / _energy(noise_stem))
 
     mixture = foot_mix.copy()
     if voice_stem is not None:

@@ -147,6 +147,36 @@ def test_range_bounds_rejected():
         synth_footstep(_persona(), CONCRETE_SLAB, 0.0, 16000)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_non_finite_range_rejected(r):
+    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    with pytest.raises(FootfallError) as err:
+        dispersive_delay(parts.structure_source, CONCRETE_SLAB, r, 16000)
+    assert "range_m" in err.value.details
+    with pytest.raises(FootfallError) as err:
+        place_footstep(parts, CONCRETE_SLAB, r)
+    assert "range_m" in err.value.details
+
+
+def test_negative_offset_rejected():
+    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    for out in (None, np.zeros(16000)):
+        with pytest.raises(FootfallError) as err:
+            place_footstep(parts, CONCRETE_SLAB, 1.0, out=out, offset=-1)
+        assert err.value.details["offset"] == -1
+
+
+def test_shared_parts_place_like_fresh_parts():
+    # one parts object serves every microphone of a step; its kept spectrum
+    # must give the same samples as fresh parts, across FFT-length changes
+    fs = 48000
+    shared = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+    for r in (1.0, 1.001, 4.0, 1.0):
+        fresh = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+        assert np.array_equal(place_footstep(shared, CONCRETE_SLAB, r),
+                              place_footstep(fresh, CONCRETE_SLAB, r))
+
+
 def test_synthesis_deterministic():
     a = synth_footstep(_persona(), CONCRETE_SLAB, 1.5, 48000).samples
     b = synth_footstep(_persona(), CONCRETE_SLAB, 1.5, 48000).samples

@@ -230,7 +230,8 @@ def test_training_loss_trend_decreases(trained):
 
 def test_divergent_training_reports_the_epoch():
     ds = _toy_dataset(per_cell=12, seed=2)
-    with pytest.raises(FootfallError) as err:
+    with pytest.raises(FootfallError) as err, \
+            pytest.warns(UserWarning, match="clamped"):
         train_adversarial(ds, TrainConfig(epochs=2, seed=0, lr=1e9))
     assert "epoch" in err.value.details
 

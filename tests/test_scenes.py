@@ -105,6 +105,18 @@ def test_noise_scaled_to_target_snr():
     feet = truth.footstep_mix()
     measured = 10.0 * np.log10(np.sum(feet ** 2) / np.sum(truth.noise_stem ** 2))
     assert abs(measured - 10.0) < 0.5
+    assert measured == pytest.approx(truth.achieved_snr_db, abs=1e-9)
+
+
+def test_voice_is_the_snr_reference_without_walkers():
+    voice = AirSource(babble(3.0, FS, np.random.default_rng(6)), [3.0, 0.5])
+    out, truth = render_scene(_walk_scene(walkers=(), voices=(voice,), duration_s=3.0,
+                                          noise_kind="pink", target_snr_db=15.0,
+                                          target_sir_db=5.0))
+    assert truth.achieved_sir_db is None
+    measured = 10.0 * np.log10(np.sum(truth.voice_stem ** 2) / np.sum(truth.noise_stem ** 2))
+    assert abs(measured - 15.0) < 0.5
+    assert measured == pytest.approx(truth.achieved_snr_db, abs=1e-9)
 
 
 def test_trajectory_outside_bound_is_rejected():
