@@ -36,14 +36,30 @@ def _frame(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return sliding_window_view(x, window_len)[::hop]
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the rows of frames (n_frames, window_len), placed hop apart.
+
+    Each frame is cut into ceil(window_len / hop) chunks of one hop; chunk c
+    of frame m lands on output block m + c. Adding the chunk offsets from the
+    last to the first adds every sample's terms oldest frame first, the order
+    of a frame-by-frame loop, so the sums are the same to the bit.
+    """
+    n_frames, window_len = frames.shape
+    k = -(-window_len // hop)
+    if k * hop > window_len:
+        frames = np.pad(frames, ((0, 0), (0, k * hop - window_len)))
+    chunks = frames.reshape(n_frames, k, hop)
+    acc = np.zeros((n_frames + k - 1, hop))
+    for c in range(k - 1, -1, -1):
+        acc[c : c + n_frames] += chunks[:, c]
+    return acc.reshape(-1)[: (n_frames - 1) * hop + window_len]
+
+
 def ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     """Sum of squared analysis windows overlapped at the given hop."""
-    n = (n_frames - 1) * hop + window.size
-    den = np.zeros(n)
+    _check_hop(window.size, hop)
     wsq = window * window
-    for m in range(n_frames):
-        den[m * hop : m * hop + window.size] += wsq
-    return den
+    return _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), hop)
 
 
 def _check_hop(window_len: int, hop: int) -> None:
@@ -97,10 +113,8 @@ def istft(spec: Spectrogram) -> Waveform:
             window_len=spec.window_len,
             hop=spec.hop,
         )
-    acc = np.zeros(n)
-    weighted = frames * window
-    for m in range(n_frames):
-        acc[m * spec.hop : m * spec.hop + spec.window_len] += weighted[m]
+    frames *= window
+    acc = _overlap_add(frames, spec.hop)
     out = np.where(den > _OLA_FLOOR * den.max(), acc / np.maximum(den, 1e-300), 0.0)
     return Waveform(out, spec.sample_rate)
 

@@ -9,6 +9,9 @@ aperiodically so the chorus cannot carry a walking-pace rhythm.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import FootfallError
@@ -120,10 +123,11 @@ def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
     sample_rate = _as_rate(sample_rate)
     if not (np.isfinite(duration_s) and duration_s > 0):
         raise FootfallError("duration must be positive and finite", duration_s=duration_s)
-    if n_talkers < 1:
-        raise FootfallError("need at least one talker", n_talkers=n_talkers)
-    if pitch_lo < 110.0 or pitch_hi <= pitch_lo:
-        raise FootfallError("pitch range must sit at or above 110 Hz",
+    if not (isinstance(n_talkers, numbers.Integral) and n_talkers >= 1):
+        raise FootfallError("need a whole number of talkers, at least one",
+                            n_talkers=n_talkers)
+    if not 110.0 <= pitch_lo < pitch_hi < math.inf:  # false for NaN
+        raise FootfallError("pitch range must be finite and sit at or above 110 Hz",
                             pitch_lo=pitch_lo, pitch_hi=pitch_hi)
     n = int(round(duration_s * sample_rate))
     if n < 1:

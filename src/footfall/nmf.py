@@ -17,12 +17,19 @@ no more than a relative _TOL in one sweep, after at most ITERS sweeps. The
 sweeps work in float32; inputs and the returned model are float64. The
 divergence track of a fit comes from the p/v ratios the sweeps form anyway,
 summed in float32, and is_divergence is the float64 reference it is tested
-against.
+against. Each fit cuts the frame axis into _PARTS fixed halves, and a
+two-worker thread pool runs the steps local to a frame column on both at
+once; their shares of the template step and of the divergence are added in
+a fixed order, so the result never depends on the core count or on thread
+timing. nmf_separate divides the power by its peak and rounds it to float32
+once, so every fit, the refinement pass's included, sweeps the same bits at
+any mixture level.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +44,7 @@ ITERS = 120  # most sweeps of one fit
 _TOL = 3e-4  # a fit stops once one sweep lowers the divergence by no more than this share
 _WINDOW_LEN = 512
 _HOP = 256
+_PARTS = 2  # fixed frame halves of a fit, one per pool worker
 
 # Relative spectral floor: keeps the divergence finite over padded frames.
 _POWER_FLOOR = 1e-10
@@ -189,16 +197,67 @@ def _given_start(x, name: str, shape: tuple) -> np.ndarray:
     return x
 
 
-def _ratios(p, v, inv, ratio, log_ratio) -> float:
-    """Fill inv = 1/v and ratio = p/v; return the divergence from ratio.
+class _Half:
+    """One fixed frame half of a fit: float32 copies of its p and h columns.
 
-    The entries and their two sums are float32; sum(r) - sum(log r) - N is
-    then taken in float64.
+    Each step here reads its own columns and the shared templates w only,
+    so the two halves of a fit run at once; every buffer is allocated once
+    per fit. The steps set their own np.errstate because it does not carry
+    into pool threads: the isfinite check on the track is the real guard,
+    and overflow en route to it must not warn.
     """
-    np.reciprocal(v, out=inv)
-    np.multiply(p, inv, out=ratio)
-    np.log(ratio, out=log_ratio)
-    return float(ratio.sum()) - float(log_ratio.sum()) - p.size
+
+    def __init__(self, p32: np.ndarray, h32: np.ndarray, n_free_cols: int):
+        self.p = p32
+        self.h = h32
+        self.n_free = n_free_cols
+        self.v = np.empty_like(p32)
+        self.inv = np.empty_like(p32)
+        self.ratio = np.empty_like(p32)
+        self.scratch = np.empty_like(p32)  # log(p/v) for the track, then p/v^2
+        self.h_num = np.empty_like(h32)
+        self.h_den = np.empty_like(h32)
+        self.w_num = np.empty((p32.shape[0], n_free_cols), dtype=np.float32)
+        self.w_den = np.empty_like(self.w_num)
+
+    def _ratios(self) -> tuple[float, float]:
+        """Fill inv = 1/v and ratio = p/v; return the float32 sums of ratio and log(ratio)."""
+        np.reciprocal(self.v, out=self.inv)
+        np.multiply(self.p, self.inv, out=self.ratio)
+        np.log(self.ratio, out=self.scratch)
+        return float(self.ratio.sum()), float(self.scratch.sum())
+
+    def track(self, w32: np.ndarray) -> tuple[float, float]:
+        """v = w @ h, then the track partials."""
+        with np.errstate(all="ignore"):
+            np.matmul(w32, self.h, out=self.v)
+            return self._ratios()
+
+    def sweep(self, w32: np.ndarray) -> tuple[float, float] | None:
+        """h-step and v = w @ h, then this half's w_num and w_den, or with every
+        template pinned the track partials."""
+        with np.errstate(all="ignore"):
+            np.multiply(self.ratio, self.inv, out=self.scratch)
+            np.matmul(w32.T, self.scratch, out=self.h_num)
+            np.matmul(w32.T, self.inv, out=self.h_den)
+            self.h_num /= self.h_den
+            self.h *= np.sqrt(self.h_num, out=self.h_num)
+            np.matmul(w32, self.h, out=self.v)
+            if self.n_free == 0:
+                return self._ratios()
+            hf = self.h[:self.n_free]
+            np.reciprocal(self.v, out=self.inv)
+            np.multiply(self.p, self.inv, out=self.scratch)
+            self.scratch *= self.inv
+            np.matmul(self.scratch, hf.T, out=self.w_num)
+            np.matmul(self.inv, hf.T, out=self.w_den)
+            return None
+
+    def finish(self, w32: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
+        """Take the moved templates' renormalization into h, then track."""
+        with np.errstate(all="ignore"):
+            self.h[:self.n_free] *= scale.T
+        return self.track(w32)
 
 
 def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
@@ -212,60 +271,59 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     than _TOL of its previous value, or after ITERS; the track holds the
     starting divergence and one entry per sweep run.
 
-    The sweeps run in float32 on copies of p / max(p), w and h, with 1/v,
-    p/v and p/v^2 held in buffers allocated once per call; dividing by the
-    peak first makes the float32 sweeps the same at any mixture level. The
-    result is written back into the float64 w and h, with the peak restored
-    in h, and the moved columns are renormalized to unit L1 there. Each track
-    entry is the divergence of the float32 model, taken from the p/v buffer
-    that the next h-step needs anyway and summed in float32; the divergence
-    is scale-invariant, and is_divergence is the float64 reference. The stop
-    depends only on the fit's own arithmetic, so a repeated fit repeats
-    bitwise.
+    The sweeps run in float32 on copies of p / max(p), w and h; dividing by
+    the peak first makes the float32 sweeps the same at any mixture level.
+    The frame axis is cut into _PARTS fixed contiguous halves (_Half), and a
+    two-worker thread pool runs every step that is local to a frame column,
+    one half per worker: the h-step, v = w @ h, and each half's share of the
+    template step's numerator and denominator and of the track's two sums.
+    The calling thread adds those shares half 0 first, moves and
+    renormalizes w and takes the stop test, so a fit depends on the fixed
+    cut alone, never on the CPU count or on thread timing, and a repeated
+    fit repeats bitwise.
+
+    The result is written back into the float64 w and h, with the peak
+    restored in h, and the moved columns are renormalized to unit L1 there.
+    Each track entry is the divergence of the float32 model, taken from the
+    p/v buffers that the next h-step needs anyway and summed in float32 per
+    half; the divergence is scale-invariant, and is_divergence is the
+    float64 reference.
     """
     f32 = np.float32
     free = slice(0, n_free_cols)
     peak = float(p.max())
-    # the isfinite check below is the real guard; overflow en route to it,
-    # the float32 casts included, must not warn
-    with np.errstate(all="ignore"):
+    cut = np.linspace(0, p.shape[1], _PARTS + 1).astype(int)
+    with np.errstate(all="ignore"):  # as in _Half: the track's isfinite check guards
         p32 = (p / peak).astype(f32)
         w32 = w.astype(f32)
         h32 = h.astype(f32)
-        v = w32 @ h32
         # start at the right overall level
-        h32 *= float(p32.mean(dtype=np.float64) / v.mean(dtype=np.float64))
-        np.matmul(w32, h32, out=v)
-        inv = np.empty_like(v)
-        ratio = np.empty_like(v)
-        scratch = np.empty_like(v)  # log(p/v) for the track, then p/v^2
-        h_num = np.empty_like(h32)
-        h_den = np.empty_like(h32)
-        w_num = np.empty((p.shape[0], n_free_cols), dtype=f32)
-        w_den = np.empty_like(w_num)
-        track = [_ratios(p32, v, inv, ratio, scratch)]
+        h32 *= float(p32.mean(dtype=np.float64) / (w32 @ h32).mean(dtype=np.float64))
+    halves = [_Half(np.ascontiguousarray(p32[:, a:b]), np.ascontiguousarray(h32[:, a:b]),
+                    n_free_cols) for a, b in zip(cut[:-1], cut[1:])]
+    del p32, h32
+
+    with ThreadPoolExecutor(max_workers=_PARTS) as pool:
+
+        def each(step, *args):
+            return list(pool.map(lambda half: step(half, *args), halves))
+
+        def divergence(partials) -> float:
+            return sum(r for r, _ in partials) - sum(lg for _, lg in partials) - p.size
+
+        track = [divergence(each(_Half.track, w32))]
         for i in range(1, ITERS + 1):
-            np.multiply(ratio, inv, out=scratch)
-            np.matmul(w32.T, scratch, out=h_num)
-            np.matmul(w32.T, inv, out=h_den)
-            h_num /= h_den
-            h32 *= np.sqrt(h_num, out=h_num)
-            np.matmul(w32, h32, out=v)
+            partials = each(_Half.sweep, w32)
             if n_free_cols > 0:
-                hf = h32[free]
-                np.reciprocal(v, out=inv)
-                np.multiply(p32, inv, out=scratch)
-                scratch *= inv
-                np.matmul(scratch, hf.T, out=w_num)
-                np.matmul(inv, hf.T, out=w_den)
-                w_num /= w_den
-                w32[:, free] *= np.sqrt(w_num, out=w_num)
-                # renormalize moved columns; scale shifts into h, w @ h intact
-                scale = w32[:, free].sum(axis=0, keepdims=True)
-                w32[:, free] /= scale
-                hf *= scale.T
-                np.matmul(w32, h32, out=v)
-            d = _ratios(p32, v, inv, ratio, scratch)
+                with np.errstate(all="ignore"):
+                    w_num = sum(half.w_num for half in halves)
+                    w_num /= sum(half.w_den for half in halves)
+                    w32[:, free] *= np.sqrt(w_num, out=w_num)
+                    # renormalize moved columns; scale shifts into h, w @ h intact
+                    scale = w32[:, free].sum(axis=0, keepdims=True)
+                    w32[:, free] /= scale
+                partials = each(_Half.finish, w32, scale)
+            d = divergence(partials)
             if not math.isfinite(d):
                 raise FootfallError("factorization diverged", iteration=i)
             track.append(d)
@@ -274,7 +332,8 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     w[:, free] = w32[:, free]
     scale = w[:, free].sum(axis=0, keepdims=True)
     w[:, free] /= scale
-    h[...] = h32
+    for half, a, b in zip(halves, cut[:-1], cut[1:]):
+        h[:, a:b] = half.h
     h[free] *= scale.T
     h *= peak
     return np.array(track)
@@ -389,6 +448,13 @@ def nmf_separate(mix: Waveform, step_freq: float,
         rng = np.random.default_rng(0)
     spec, offset = analyze_padded(mix, _WINDOW_LEN, _HOP)
     power = spec.magnitudes**2
+    peak = float(power.max())
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise FootfallError("mixture power must be finite and nonzero", peak=peak)
+    # Every fit, and the refinement input, starts from one float32 rounding
+    # of the power over its peak: the rounding of a later, level-dependent
+    # array could flip an entry between mixture levels.
+    power = (power / peak).astype(np.float32).astype(np.float64)
     frame_rate = mix.sample_rate / _HOP
     period = frame_rate / step_freq
     quiet = step_free_frames(power)

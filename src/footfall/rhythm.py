@@ -69,11 +69,13 @@ def asacc(spec: Spectrogram) -> Asacc:
                             shape=list(V.shape))
     if V.shape[0] < _ROWS:
         raise FootfallError(f"spectrogram needs at least {_ROWS} rows", rows=V.shape[0])
-    rows = V[:_ROWS]
-    P = rows.shape[1]
-    b = np.empty(P)
-    for j in range(1, P + 1):
-        b[j - 1] = np.mean(rows[:, : P - j + 1] * rows[:, j - 1:])
+    P = V.shape[1]
+    # per-row autocorrelation by a zero-padded FFT (no circular wrap-around),
+    # summed over the rows; lag j-1 sums _ROWS * (P - j + 1) products
+    n_fft = 1 << (2 * P - 1).bit_length()
+    s = np.fft.rfft(V[:_ROWS], n_fft, axis=1)
+    b = np.fft.irfft((s.real**2 + s.imag**2).sum(axis=0), n_fft)[:P]
+    b /= _ROWS * np.arange(P, 0, -1)
     if b[0] <= 0:
         raise FootfallError("silent spectrogram has no rhythm to normalize")
     return Asacc(b / b[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from footfall import FootfallError, MultichannelWaveform, Waveform
+from footfall import dsp
 from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
 
 
@@ -100,6 +101,27 @@ def test_ola_weight_constant_at_quarter_hop():
     den = ola_weight(hann_window(512), 128, 32)
     interior = den[512:-512]
     assert np.ptp(interior) < 1e-9 * den.max()
+
+
+def _loop_overlap_add(frames, hop):
+    """Frame-by-frame overlap-add: the reference for the chunked sum."""
+    n_frames, window_len = frames.shape
+    acc = np.zeros((n_frames - 1) * hop + window_len)
+    for m in range(n_frames):
+        acc[m * hop : m * hop + window_len] += frames[m]
+    return acc
+
+
+@pytest.mark.parametrize("window_len, hop", [(512, 256), (512, 128), (400, 160)])
+def test_overlap_add_matches_a_frame_loop_bitwise(window_len, hop):
+    spec = stft(_noise_wave(), window_len, hop)
+    window = hann_window(window_len)
+    den = _loop_overlap_add(np.tile(window * window, (spec.n_frames, 1)), hop)
+    assert np.array_equal(ola_weight(window, hop, spec.n_frames), den)
+    frames = np.fft.irfft(spec.complex_values().T, n=window_len, axis=1) * window
+    acc = _loop_overlap_add(frames, hop)
+    want = np.where(den > dsp._OLA_FLOOR * den.max(), acc / np.maximum(den, 1e-300), 0.0)
+    assert np.array_equal(istft(spec).samples, want)
 
 
 def test_stft_requires_full_window():

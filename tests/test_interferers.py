@@ -90,6 +90,9 @@ def test_babble_rejects_low_pitch_and_bad_duration():
         babble(0.0, 16000, rng)
 
 
+_BAD_VOICE = {"pitch_lo": np.nan, "pitch_hi": np.inf, "n_talkers": 2.5}
+
+
 @pytest.mark.parametrize("duration_s, sample_rate, key", [
     (np.nan, 16000, "duration_s"),
     (np.inf, 16000, "duration_s"),
@@ -97,9 +100,14 @@ def test_babble_rejects_low_pitch_and_bad_duration():
     (1e-5, 16000, "duration_s"),  # rounds to zero samples
     (2.0, 0, "sample_rate"),
     (2.0, -16000, "sample_rate"),
+    (2.0, 16000, "pitch_lo"),
+    (2.0, 16000, "pitch_hi"),
+    (2.0, 16000, "n_talkers"),
 ])
 def test_babble_rejects_bad_duration_and_rate(duration_s, sample_rate, key):
+    # the voice arguments too: key names the one that is bad
+    voice = {key: _BAD_VOICE[key]} if key in _BAD_VOICE else {}
     with pytest.raises(FootfallError) as err:
-        babble(duration_s, sample_rate, np.random.default_rng(0))
-    bad = duration_s if key == "duration_s" else sample_rate
+        babble(duration_s, sample_rate, np.random.default_rng(0), **voice)
+    bad = {"duration_s": duration_s, "sample_rate": sample_rate, **voice}[key]
     np.testing.assert_equal(err.value.details[key], bad)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,35 @@ def _sweep_counts(monkeypatch):
     return counts
 
 
+def _fit_inputs(monkeypatch):
+    """A copy of the power each fit sweeps over, from here on."""
+    seen = []
+    sweeps = nmf._mu_sweeps
+
+    def spied(p, *args):
+        seen.append(p.copy())
+        return sweeps(p, *args)
+
+    monkeypatch.setattr(nmf, "_mu_sweeps", spied)
+    return seen
+
+
+class _InlineExecutor:
+    """Stands in for the fit's thread pool: each half in turn, on this thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 @pytest.fixture(scope="module")
 def pinned_16k():
     """Power, comb period and pinned start of the 16 kHz babble mixture."""
@@ -149,6 +181,60 @@ def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(pinned_16k):
     assert len(t1) == len(t2) < nmf.ITERS + 1
     assert np.array_equal(t1, t2)
     assert np.array_equal(m1.w, m2.w) and np.array_equal(m1.h, m2.h)
+
+
+@pytest.mark.parametrize("branch", ["blind", "pinned"])
+def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, pinned_16k, branch):
+    power, period, start = pinned_16k
+    start = start if branch == "pinned" else {}
+    ran_on = set()
+    sweep = nmf._Half.sweep
+
+    def watched(half, *args):
+        ran_on.add(threading.current_thread())
+        return sweep(half, *args)
+
+    monkeypatch.setattr(nmf._Half, "sweep", watched)
+    before = set(threading.enumerate())
+    model, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    assert threading.current_thread() not in ran_on
+    assert set(threading.enumerate()) <= before  # the pool's workers have exited
+    monkeypatch.setattr(nmf, "ThreadPoolExecutor", _InlineExecutor)
+    inline, inline_track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    assert np.array_equal(track, inline_track)
+    assert np.array_equal(model.w, inline.w) and np.array_equal(model.h, inline.h)
+
+
+def test_concurrent_fits_match_a_lone_fit():
+    # three fits at once put six pool workers on the cores, and the short
+    # switch interval interleaves them far more often than by default
+    power = _random_power()
+
+    def fit():
+        return nmf_fit(power, 20.0, rng=np.random.default_rng(1))
+
+    lone_model, lone_track = fit()
+    results = [None] * 3
+
+    def run(k):
+        results[k] = fit()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for result in results:
+        assert result is not None
+        model, track = result
+        assert np.array_equal(track, lone_track)
+        assert np.array_equal(model.w, lone_model.w) and np.array_equal(model.h, lone_model.h)
 
 
 @pytest.mark.parametrize("branch", ["blind", "pinned"])
@@ -384,11 +470,24 @@ def test_fit_rejects_bad_pinned_starts_by_name(monkeypatch, name, entry):
 def test_separation_does_not_depend_on_the_mixture_level(monkeypatch, fs, seed, duration,
                                                           sir_db, branch):
     calls = _count_template_fits(monkeypatch)
+    inputs = _fit_inputs(monkeypatch)
     mix, _, _ = _mix_parts(seed=seed, sir_db=sir_db, duration=duration, fs=fs)
     foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
     assert ("pinned" if calls else "blind") == branch
+    fits = len(inputs)
     for scale in (1e-3, 1e3):
         scaled, _ = nmf_separate(Waveform(scale * mix.samples, fs), PACE,
                                  rng=np.random.default_rng(seed))
         dev = np.abs(scaled.samples / scale - foot.samples).max()
         assert dev <= 1e-9 * np.abs(foot.samples).max()
+    # every fit, the refinement pass's included, sweeps the same bits at every level
+    assert len(inputs) == 3 * fits
+    for k in range(fits):
+        assert np.array_equal(inputs[k], inputs[fits + k])
+        assert np.array_equal(inputs[k], inputs[2 * fits + k])
+
+
+def test_separate_rejects_a_silent_mixture():
+    with pytest.raises(FootfallError) as err:
+        nmf_separate(Waveform(np.zeros(FS), FS), PACE)
+    assert err.value.details == {"peak": 0.0}

@@ -80,6 +80,26 @@ def test_asacc_of_babble_has_no_sharp_lag_peak():
         assert b[j] < 1.5 * local
 
 
+def _direct_asacc(V):
+    """asacc by its definition, one lag at a time: the reference for the FFT."""
+    rows = V[:3]
+    P = rows.shape[1]
+    b = np.array([np.mean(rows[:, : P - j] * rows[:, j:]) for j in range(P)])
+    return b / b[0]
+
+
+@pytest.mark.parametrize("source", ["walk-in-babble", "random-1878-frames"])
+def test_asacc_matches_the_direct_sum(source):
+    if source == "walk-in-babble":
+        V = _spectrogram(_walk_scene(pace=1.5, sir_db=0.0))
+    else:  # as many frames as 10 s at 48 kHz and hop 256
+        mags = np.abs(np.random.default_rng(8).standard_normal((5, 1878)))
+        V = Spectrogram(mags, window_len=8, hop=4, sample_rate=48000)
+    got = asacc(V).b
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - _direct_asacc(V.magnitudes))) <= 1e-12
+
+
 def test_asacc_rejects_tiny_or_silent_input():
     with pytest.raises(FootfallError):
         asacc(Spectrogram(np.ones((3, 1)), window_len=4, hop=1, sample_rate=8))
