@@ -19,11 +19,11 @@ divergence track of a fit comes from the p/v ratios the sweeps form anyway,
 summed in float32, and is_divergence is the float64 reference it is tested
 against. Each fit cuts the frame axis into _PARTS fixed halves, and a
 two-worker thread pool runs the steps local to a frame column on both at
-once; their shares of the template step and of the divergence are added in
-a fixed order, so the result never depends on the core count or on thread
-timing. nmf_separate divides the power by its peak and rounds it to float32
-once, so every fit, the refinement pass's included, sweeps the same bits at
-any mixture level.
+once, in one dispatch per sweep; their shares of the template step and of
+the divergence are added in a fixed order, so the result never depends on
+the core count or on thread timing. nmf_separate divides the power by its
+peak and rounds it to float32 once, so every fit, the refinement pass's
+included, sweeps the same bits at any mixture level.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class _Half:
 
     Each step here reads its own columns and the shared templates w only,
     so the two halves of a fit run at once; every buffer is allocated once
-    per fit. The steps set their own np.errstate because it does not carry
+    per fit. The step sets its own np.errstate because it does not carry
     into pool threads: the isfinite check on the track is the real guard,
     and overflow en route to it must not warn.
     """
@@ -210,54 +210,45 @@ class _Half:
     def __init__(self, p32: np.ndarray, h32: np.ndarray, n_free_cols: int):
         self.p = p32
         self.h = h32
+        self.h_next = np.empty_like(h32)
         self.n_free = n_free_cols
         self.v = np.empty_like(p32)
         self.inv = np.empty_like(p32)
         self.ratio = np.empty_like(p32)
         self.scratch = np.empty_like(p32)  # log(p/v) for the track, then p/v^2
-        self.h_num = np.empty_like(h32)
         self.h_den = np.empty_like(h32)
         self.w_num = np.empty((p32.shape[0], n_free_cols), dtype=np.float32)
         self.w_den = np.empty_like(self.w_num)
 
-    def _ratios(self) -> tuple[float, float]:
-        """Fill inv = 1/v and ratio = p/v; return the float32 sums of ratio and log(ratio)."""
-        np.reciprocal(self.v, out=self.inv)
-        np.multiply(self.p, self.inv, out=self.ratio)
-        np.log(self.ratio, out=self.scratch)
-        return float(self.ratio.sum()), float(self.scratch.sum())
+    def step(self, w32: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
+        """One sweep's work local to this half; returns its float32 track partials.
 
-    def track(self, w32: np.ndarray) -> tuple[float, float]:
-        """v = w @ h, then the track partials."""
+        Takes the last template step's renormalization into h (all ones on
+        the first call), sums p/v and log(p/v) of the model w @ h for the
+        track, runs the next sweep's h-step into h_next and fills this
+        half's w_num and w_den from it. h itself is left as the track saw it.
+        """
         with np.errstate(all="ignore"):
+            self.h[:self.n_free] *= scale.T
             np.matmul(w32, self.h, out=self.v)
-            return self._ratios()
-
-    def sweep(self, w32: np.ndarray) -> tuple[float, float] | None:
-        """h-step and v = w @ h, then this half's w_num and w_den, or with every
-        template pinned the track partials."""
-        with np.errstate(all="ignore"):
+            np.reciprocal(self.v, out=self.inv)
+            np.multiply(self.p, self.inv, out=self.ratio)
+            np.log(self.ratio, out=self.scratch)
+            partials = float(self.ratio.sum()), float(self.scratch.sum())
             np.multiply(self.ratio, self.inv, out=self.scratch)
-            np.matmul(w32.T, self.scratch, out=self.h_num)
+            np.matmul(w32.T, self.scratch, out=self.h_next)
             np.matmul(w32.T, self.inv, out=self.h_den)
-            self.h_num /= self.h_den
-            self.h *= np.sqrt(self.h_num, out=self.h_num)
-            np.matmul(w32, self.h, out=self.v)
-            if self.n_free == 0:
-                return self._ratios()
-            hf = self.h[:self.n_free]
+            self.h_next /= self.h_den
+            np.sqrt(self.h_next, out=self.h_next)
+            self.h_next *= self.h
+            hf = self.h_next[:self.n_free]
+            np.matmul(w32, self.h_next, out=self.v)
             np.reciprocal(self.v, out=self.inv)
             np.multiply(self.p, self.inv, out=self.scratch)
             self.scratch *= self.inv
             np.matmul(self.scratch, hf.T, out=self.w_num)
             np.matmul(self.inv, hf.T, out=self.w_den)
-            return None
-
-    def finish(self, w32: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
-        """Take the moved templates' renormalization into h, then track."""
-        with np.errstate(all="ignore"):
-            self.h[:self.n_free] *= scale.T
-        return self.track(w32)
+            return partials
 
 
 def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
@@ -275,12 +266,14 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     the peak first makes the float32 sweeps the same at any mixture level.
     The frame axis is cut into _PARTS fixed contiguous halves (_Half), and a
     two-worker thread pool runs every step that is local to a frame column,
-    one half per worker: the h-step, v = w @ h, and each half's share of the
-    template step's numerator and denominator and of the track's two sums.
-    The calling thread adds those shares half 0 first, moves and
-    renormalizes w and takes the stop test, so a fit depends on the fixed
-    cut alone, never on the CPU count or on thread timing, and a repeated
-    fit repeats bitwise.
+    one half per worker, in one dispatch per track entry: each half's share
+    of the track's two sums, the next h-step, v = w @ h and its share of the
+    template step's numerator and denominator. The calling thread adds those
+    shares half 0 first and takes the stop test; only when the fit goes on
+    does it commit the new h and move and renormalize w, so a fit that stops
+    keeps the model its last track entry measured. A fit depends on the
+    fixed cut alone, never on the CPU count or on thread timing, and a
+    repeated fit repeats bitwise.
 
     The result is written back into the float64 w and h, with the peak
     restored in h, and the moved columns are renormalized to unit L1 there.
@@ -305,25 +298,23 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
 
     with ThreadPoolExecutor(max_workers=_PARTS) as pool:
 
-        def each(step, *args):
-            return list(pool.map(lambda half: step(half, *args), halves))
-
-        def divergence(partials) -> float:
+        def step(scale) -> float:
+            """One _Half.step on each half; the track entry they measured."""
+            partials = list(pool.map(lambda half: half.step(w32, scale), halves))
             return sum(r for r, _ in partials) - sum(lg for _, lg in partials) - p.size
 
-        track = [divergence(each(_Half.track, w32))]
+        track = [step(np.ones((1, n_free_cols), dtype=f32))]  # x * 1 is exact
         for i in range(1, ITERS + 1):
-            partials = each(_Half.sweep, w32)
-            if n_free_cols > 0:
-                with np.errstate(all="ignore"):
-                    w_num = sum(half.w_num for half in halves)
-                    w_num /= sum(half.w_den for half in halves)
-                    w32[:, free] *= np.sqrt(w_num, out=w_num)
-                    # renormalize moved columns; scale shifts into h, w @ h intact
-                    scale = w32[:, free].sum(axis=0, keepdims=True)
-                    w32[:, free] /= scale
-                partials = each(_Half.finish, w32, scale)
-            d = divergence(partials)
+            for half in halves:
+                half.h, half.h_next = half.h_next, half.h
+            with np.errstate(all="ignore"):
+                w_num = sum(half.w_num for half in halves)
+                w_num /= sum(half.w_den for half in halves)
+                w32[:, free] *= np.sqrt(w_num, out=w_num)
+                # renormalize moved columns; scale shifts into h, w @ h intact
+                scale = w32[:, free].sum(axis=0, keepdims=True)
+                w32[:, free] /= scale
+            d = step(scale)
             if not math.isfinite(d):
                 raise FootfallError("factorization diverged", iteration=i)
             track.append(d)

@@ -188,13 +188,13 @@ def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, pinned_16k,
     power, period, start = pinned_16k
     start = start if branch == "pinned" else {}
     ran_on = set()
-    sweep = nmf._Half.sweep
+    step = nmf._Half.step
 
     def watched(half, *args):
         ran_on.add(threading.current_thread())
-        return sweep(half, *args)
+        return step(half, *args)
 
-    monkeypatch.setattr(nmf._Half, "sweep", watched)
+    monkeypatch.setattr(nmf._Half, "step", watched)
     before = set(threading.enumerate())
     model, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
     assert threading.current_thread() not in ran_on
@@ -203,6 +203,22 @@ def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, pinned_16k,
     inline, inline_track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
     assert np.array_equal(track, inline_track)
     assert np.array_equal(model.w, inline.w) and np.array_equal(model.h, inline.h)
+
+
+@pytest.mark.parametrize("branch", ["blind", "pinned"])
+def test_fit_dispatches_to_the_pool_once_per_track_entry(monkeypatch, pinned_16k, branch):
+    power, period, start = pinned_16k
+    start = start if branch == "pinned" else {}
+    maps = []
+
+    class Counting(_InlineExecutor):
+        def map(self, fn, *iterables):
+            maps.append(fn)
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(nmf, "ThreadPoolExecutor", Counting)
+    _, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    assert len(maps) == len(track)
 
 
 def test_concurrent_fits_match_a_lone_fit():
