@@ -41,7 +41,7 @@ _PROB_CLAMP = 1e-12
 
 VOTING_SCHEMES = {"single": (1, 1), "2-of-3": (2, 3), "3-of-5": (3, 5)}
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -92,10 +92,8 @@ class IdNet:
                                            ("id_out", 16, self.n_users),
                                            ("dom_hidden", FEATURE_DIM, 16),
                                            ("dom_out", 16, self.n_domains))]
-        self.p = {"conv1_w": conv1, "conv1_b": np.zeros(32),
-                  "bn1_g": np.ones(32), "bn1_b": np.zeros(32),
-                  "conv2_w": conv2, "conv2_b": np.zeros(64),
-                  "bn2_g": np.ones(64), "bn2_b": np.zeros(64)}
+        self.p = {"conv1_w": conv1, "bn1_g": np.ones(32), "bn1_b": np.zeros(32),
+                  "conv2_w": conv2, "bn2_g": np.ones(64), "bn2_b": np.zeros(64)}
         for name, w in dense:
             self.p[f"{name}_w"] = w
             self.p[f"{name}_b"] = np.zeros(w.shape[1])
@@ -106,22 +104,26 @@ class IdNet:
         return list(self.p.values())
 
 
-def _conv(x, w, b):
-    """Valid stride-1 convolution of (B, C, H, W); also returns the unfolded rows."""
+def _conv(x, w):
+    """Valid stride-1 convolution of (B, C, H, W); also returns the unfolded rows.
+
+    It has no bias: each convolution feeds _batchnorm, whose mean subtraction
+    would cancel one, and whose beta is the shift.
+    """
     n, c, h, wd = x.shape
     c_out, _, kh, kw = w.shape
     ph, pw = h - kh + 1, wd - kw + 1
     view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ph * pw, c * kh * kw)
-    out = cols @ w.reshape(c_out, -1).T + b
+    out = cols @ w.reshape(c_out, -1).T
     return out.reshape(n, ph, pw, c_out).transpose(0, 3, 1, 2), cols
 
 
 def _conv_backward(g, cols, w):
-    """(dw, db, d cols) of _conv for the output gradient g."""
+    """(dw, d cols) of _conv for the output gradient g."""
     c_out = w.shape[0]
     g = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    return (cols.T @ g).T.reshape(w.shape), g.sum(axis=0), g @ w.reshape(c_out, -1)
+    return (cols.T @ g).T.reshape(w.shape), g @ w.reshape(c_out, -1)
 
 
 def _fold(g_cols, shape, kh, kw):
@@ -176,11 +178,11 @@ def _forward(net: IdNet, x: np.ndarray, train: bool, rng=None):
     _train_step needs for the backward pass.
     """
     p, r = net.p, net.running
-    a1, cols1 = _conv(x[:, None], p["conv1_w"], p["conv1_b"])
+    a1, cols1 = _conv(x[:, None], p["conv1_w"])
     b1, xhat1, inv1 = _batchnorm(a1, p["bn1_g"], p["bn1_b"],
                                  r["bn1_mean"], r["bn1_var"], train)
     h1 = b1 * (b1 > 0)
-    a2, cols2 = _conv(h1, p["conv2_w"], p["conv2_b"])
+    a2, cols2 = _conv(h1, p["conv2_w"])
     b2, xhat2, inv2 = _batchnorm(a2, p["bn2_g"], p["bn2_b"],
                                  r["bn2_mean"], r["bn2_var"], train)
     h2 = (b2 * (b2 > 0)).reshape(x.shape[0], -1)
@@ -293,12 +295,12 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
         g = (g * c["mask"]).reshape(b2.shape) * (b2 > 0)
         grads["bn2_g"], grads["bn2_b"], g = _batchnorm_backward(
             g, c["xhat2"], c["inv2"], p["bn2_g"])
-        grads["conv2_w"], grads["conv2_b"], g = _conv_backward(g, c["cols2"], p["conv2_w"])
+        grads["conv2_w"], g = _conv_backward(g, c["cols2"], p["conv2_w"])
         b1 = c["b1"]
         g = _fold(g, b1.shape, *p["conv2_w"].shape[2:]) * (b1 > 0)
         grads["bn1_g"], grads["bn1_b"], g = _batchnorm_backward(
             g, c["xhat1"], c["inv1"], p["bn1_g"])
-        grads["conv1_w"], grads["conv1_b"], _ = _conv_backward(g, c["cols1"], p["conv1_w"])
+        grads["conv1_w"], _ = _conv_backward(g, c["cols1"], p["conv1_w"])
     return (l_u, l_c, l_d), grads, f
 
 

@@ -145,7 +145,7 @@ def test_training_step_gradients_match_central_differences():
     assert set(grads) == set(net.p)
     rng = np.random.default_rng(8)
     for k, name in enumerate(net.p):
-        group = "feature" if k < 10 else "identity" if k < 14 else "domain"
+        group = "feature" if k < 8 else "identity" if k < 12 else "domain"
         for _ in range(2):
             u = rng.standard_normal(net.p[name].shape)
             base = net.p[name].copy()
