@@ -8,6 +8,7 @@ one is what monaural ranging inverts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,8 +35,11 @@ class FloorMaterial:
     air_speed: float = AIR_SPEED
 
     def __post_init__(self):
-        if min(self.young_modulus, self.density, self.thickness) <= 0:
-            raise FootfallError("material constants must be positive", material=self.name)
+        for constant in ("young_modulus", "density", "thickness", "air_speed"):
+            value = getattr(self, constant)
+            if not (math.isfinite(value) and value > 0):
+                raise FootfallError("material constants must be finite and positive",
+                                    material=self.name, constant=constant, value=value)
         if not 0.0 <= self.poisson_ratio < 1.0:
             raise FootfallError("poisson_ratio must lie in [0, 1)", value=self.poisson_ratio)
 
@@ -78,11 +82,11 @@ def arrival_gap(range_m: float, material: FloorMaterial, f_ref_hz: float) -> flo
     gap = range * (1/c_air - 1/c_f(f_ref)); positive whenever the bending
     wave at f_ref outruns sound in air.
     """
-    if range_m <= 0:
-        raise FootfallError("range must be positive", range_m=range_m)
+    if not (math.isfinite(range_m) and range_m > 0):
+        raise FootfallError("range must be finite and positive", range_m=range_m)
     c_f = dispersion_speed(material, f_ref_hz)
-    if c_f <= 0:
-        raise FootfallError("dispersion speed is zero at f_ref", f_ref_hz=f_ref_hz)
+    if not c_f > 0:  # also NaN
+        raise FootfallError("dispersion speed at f_ref must be positive", f_ref_hz=f_ref_hz)
     return range_m * (1.0 / material.air_speed - 1.0 / c_f)
 
 
@@ -90,6 +94,10 @@ def material_for_speed(
     speed: float, f_ref_hz: float = 1000.0, base: FloorMaterial = CONCRETE_SLAB
 ) -> FloorMaterial:
     """Variant of a material whose bending-wave speed at f_ref is exactly `speed`."""
+    if not (math.isfinite(speed) and speed > 0):
+        raise FootfallError("speed must be finite and positive", speed=speed)
+    if not (math.isfinite(f_ref_hz) and f_ref_hz > 0):
+        raise FootfallError("f_ref must be finite and positive", f_ref_hz=f_ref_hz)
     denom = 12.0 * base.density * (1.0 - base.poisson_ratio**2)
     young = speed**4 * denom / (base.thickness * f_ref_hz**2)
     return replace(base, name=f"{base.name}-c{int(speed)}", young_modulus=young)

@@ -16,6 +16,7 @@ Voice clips and replayed recordings are static air-only point sources.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,8 +183,9 @@ class Scene:
     def __post_init__(self):
         self.walkers = tuple(self.walkers)
         self.voices = tuple(self.voices)
-        if self.duration_s <= 0:
-            raise FootfallError("duration must be positive", duration_s=self.duration_s)
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise FootfallError("duration must be finite and positive",
+                                duration_s=self.duration_s)
         if self.noise_kind is not None and self.noise_kind not in NOISE_KINDS:
             raise FootfallError("unknown noise kind", noise_kind=self.noise_kind)
         names = [w.persona.name for w in self.walkers]

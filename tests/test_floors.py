@@ -1,3 +1,7 @@
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from footfall import FootfallError
@@ -61,3 +65,20 @@ def test_material_constants_validated():
         CONCRETE_SLAB.__class__(
             name="bad", young_modulus=-1.0, density=1.0, thickness=1.0, poisson_ratio=0.3
         )
+
+
+@pytest.mark.parametrize("call, key, value", [
+    (lambda: replace(CONCRETE_SLAB, air_speed=0.0), "value", 0.0),
+    (lambda: replace(CONCRETE_SLAB, young_modulus=math.inf), "value", math.inf),
+    (lambda: replace(WOOD_JOIST, density=math.nan), "value", math.nan),
+    (lambda: material_for_speed(-5.0), "speed", -5.0),
+    (lambda: material_for_speed(math.nan), "speed", math.nan),
+    (lambda: material_for_speed(3000.0, f_ref_hz=0.0), "f_ref_hz", 0.0),
+    (lambda: arrival_gap(math.nan, CONCRETE_SLAB, 1000.0), "range_m", math.nan),
+    (lambda: arrival_gap(2.0, CONCRETE_SLAB, math.nan), "f_ref_hz", math.nan),
+], ids=["zero-air-speed", "infinite-modulus", "nan-density", "negative-speed",
+        "nan-speed", "zero-f-ref", "nan-range", "nan-f-ref"])
+def test_bad_floor_values_raise_with_the_value(call, key, value):
+    with pytest.raises(FootfallError) as err:
+        call()
+    assert np.array_equal(err.value.details[key], value, equal_nan=True)

@@ -196,6 +196,13 @@ def test_replay_attack_scene_is_static_and_marked():
     assert np.array_equal(out1.samples, out2.samples)
 
 
+@pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+def test_scene_rejects_a_non_finite_duration(duration_s):
+    with pytest.raises(FootfallError) as err:
+        _walk_scene(duration_s=duration_s)
+    assert np.array_equal(err.value.details["duration_s"], duration_s, equal_nan=True)
+
+
 def test_scene_validation_catches_bad_setups():
     with pytest.raises(FootfallError):
         Scene(floor=CONCRETE_SLAB, array=_array(),
