@@ -68,8 +68,9 @@ def dispersion_speed(material: FloorMaterial, freq_hz):
     Scales as sqrt(f); accepts scalars or arrays, zero frequency maps to zero.
     """
     f = np.asarray(freq_hz, dtype=np.float64)
-    if np.any(f < 0):
-        raise FootfallError("frequency must be nonnegative")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        details = {"freq_hz": float(f)} if f.ndim == 0 else {}
+        raise FootfallError("frequency must be finite and nonnegative", **details)
     stiffness = material.young_modulus * material.thickness
     denom = 12.0 * material.density * (1.0 - material.poisson_ratio**2)
     c = (stiffness * f * f / denom) ** 0.25
@@ -84,8 +85,10 @@ def arrival_gap(range_m: float, material: FloorMaterial, f_ref_hz: float) -> flo
     """
     if not (math.isfinite(range_m) and range_m > 0):
         raise FootfallError("range must be finite and positive", range_m=range_m)
+    if not (math.isfinite(f_ref_hz) and f_ref_hz > 0):
+        raise FootfallError("f_ref must be finite and positive", f_ref_hz=f_ref_hz)
     c_f = dispersion_speed(material, f_ref_hz)
-    if not c_f > 0:  # also NaN
+    if not c_f > 0:  # f_ref so small that f_ref**2 underflows
         raise FootfallError("dispersion speed at f_ref must be positive", f_ref_hz=f_ref_hz)
     return range_m * (1.0 / material.air_speed - 1.0 / c_f)
 

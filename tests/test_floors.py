@@ -82,3 +82,14 @@ def test_bad_floor_values_raise_with_the_value(call, key, value):
     with pytest.raises(FootfallError) as err:
         call()
     assert np.array_equal(err.value.details[key], value, equal_nan=True)
+
+
+@pytest.mark.parametrize("freq_hz", [math.nan, math.inf, np.array([100.0, math.nan])],
+                         ids=["nan", "inf", "array-with-nan"])
+def test_dispersion_speed_rejects_a_non_finite_frequency(freq_hz):
+    with pytest.raises(FootfallError) as err:
+        dispersion_speed(CONCRETE_SLAB, freq_hz)
+    if np.isscalar(freq_hz):
+        assert np.array_equal(err.value.details["freq_hz"], freq_hz, equal_nan=True)
+        with pytest.raises(FootfallError):  # not the lead of an infinitely fast wave
+            arrival_gap(2.0, CONCRETE_SLAB, freq_hz)

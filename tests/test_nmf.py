@@ -299,9 +299,16 @@ def test_masks_are_complementary():
     assert mask_foot.min() >= 0.0 and mask_voice.min() >= 0.0
 
 
-@pytest.mark.parametrize("fs", [16000, 48000])
-def test_stems_sum_to_the_mixture(fs):
+@pytest.mark.parametrize("fs, drop", [
+    pytest.param(16000, 0, id="16000"),
+    pytest.param(48000, 0, id="48000"),
+    pytest.param(44100, 0, id="44100"),
+    pytest.param(48000, 1, id="48000-length-not-a-multiple-of-3"),
+    pytest.param(8000, 0, id="8000-not-resampled"),
+])
+def test_stems_sum_to_the_mixture(fs, drop):
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=fs)
+    mix = Waveform(mix.samples[:mix.samples.size - drop], fs)
     foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(3))
     assert foot.samples.size == mix.samples.size
     assert voice.samples.size == mix.samples.size
@@ -354,6 +361,49 @@ def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatc
     assert not calls
     assert sdr(foot, clean) >= 5.0
     assert rms(foot) >= 0.8 * rms(mix)
+
+
+WALK_RATES = (16000, 44100, 48000)
+
+
+@pytest.fixture(scope="module")
+def wood_walks():
+    """{(seed, fs): (mixture, clean footstep stem)} of a 4 s WOOD_JOIST walk
+    in 20 dB pink noise, seeds 0-2, rendered at every rate of WALK_RATES."""
+    walks = {}
+    for seed in range(3):
+        for fs in WALK_RATES:
+            walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0],
+                                  np.random.default_rng(seed), start_time=0.5)
+            scene = Scene(floor=WOOD_JOIST, array=MicArray(np.array([[0.0, 0.0]])),
+                          walkers=(walker,), noise_kind="pink", target_snr_db=20.0,
+                          duration_s=4.0, sample_rate=fs, seed=seed)
+            out, truth = render_scene(scene)
+            walks[seed, fs] = out.channel(0), truth.footstep_mix()[0]
+    return walks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_footstep_stem_quality_does_not_depend_on_the_capture_rate(wood_walks, seed):
+    # separation runs at 16 kHz, so its frames, guards and onset tail span
+    # the same time at every capture rate
+    quality = {}
+    for fs in WALK_RATES:
+        mix, clean = wood_walks[seed, fs]
+        foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
+        quality[fs] = sdr(foot, clean)
+    assert min(quality.values()) >= 20.0, quality
+    assert max(abs(q - quality[16000]) for q in quality.values()) <= 3.0, quality
+
+
+def test_fast_captures_are_fitted_on_the_16k_frames(monkeypatch, wood_walks):
+    inputs = _fit_inputs(monkeypatch)
+    frames = analyze_padded(wood_walks[0, 16000][0], 512, 256)[0].n_frames
+    for fs in WALK_RATES:
+        inputs.clear()
+        nmf_separate(wood_walks[0, fs][0], PACE, rng=np.random.default_rng(0))
+        assert inputs
+        assert [p.shape[1] for p in inputs] == [frames] * len(inputs), fs
 
 
 def test_comb_activations_bump_once_per_period():
