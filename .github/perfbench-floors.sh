@@ -3,14 +3,13 @@
 # every run is `correct`: it meets its quality floors and fails no capture.
 # Run from the root of the checkout:
 #
-#     bash .github/perfbench-floors.sh [output directory]
+#     bash .github/perfbench-floors.sh
 #
-# Each run's output goes to perfbench-<workload>.out in the output
-# directory (default: $RUNNER_TEMP, else a new temporary directory), and is
-# printed when the run is not correct.
+# Each run's output goes to perfbench-<workload>.out in $RUNNER_TEMP (else
+# a new temporary directory), and is printed when the run is not correct.
 set -euo pipefail
 
-out_dir="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
+out_dir="${RUNNER_TEMP:-$(mktemp -d)}"
 for w in babble16k quiet48k synth48k; do
   out="$out_dir/perfbench-$w.out"
   python3 perfbench/run.py --workload "$w" --seed 401 --seconds 2 --trace 0 > "$out"

@@ -448,12 +448,10 @@ def nmf_separate(mix: Waveform, step_freq: float,
     if rng is None:
         rng = np.random.default_rng(0)
     fs = mix.sample_rate
-    if fs > _RATE:
-        g = math.gcd(_RATE, fs)
-        up, down = _RATE // g, fs // g
-        x = Waveform(resample_poly(mix.samples, up, down), _RATE)
-    else:
-        x = mix
+    rate = min(fs, _RATE)
+    g = math.gcd(rate, fs)
+    up, down = rate // g, fs // g  # 1 and 1 at 16 kHz and below: resample_poly copies
+    x = Waveform(resample_poly(mix.samples, up, down), rate)
     spec, offset = analyze_padded(x, _WINDOW_LEN, _HOP)
     power = spec.magnitudes**2
     peak = float(power.max())
@@ -485,7 +483,6 @@ def nmf_separate(mix: Waveform, step_freq: float,
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, x.samples.size).samples
-    if x is not mix:
-        # ceil(ceil(n up / down) down / up) >= n, so the crop never pads
-        foot = resample_poly(foot, down, up)[:mix.samples.size]
+    # ceil(ceil(n up / down) down / up) >= n, so the crop never pads
+    foot = resample_poly(foot, down, up)[:mix.samples.size]
     return Waveform(foot, fs), Waveform(mix.samples - foot, fs)
