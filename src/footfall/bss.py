@@ -44,8 +44,14 @@ class SeparationScore:
         return {"sir_db": self.sir, "sdr_db": self.sdr}
 
 
-def _samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
+def _samples(x, name: str) -> np.ndarray:
+    """One signal as a finite 1-d float64 array; errors name the argument."""
+    x = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise FootfallError(f"{name} must be 1-d", argument=name, shape=tuple(x.shape))
+    if not np.all(np.isfinite(x)):
+        raise FootfallError(f"{name} must be finite", argument=name)
+    return x
 
 
 def _project(est: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -66,14 +72,19 @@ def _ratio_db(num: float, den: float) -> float:
 
 
 def decompose(estimate, target, interferers=(), noise=None) -> dict[str, np.ndarray]:
-    est = _samples(estimate)
-    tgt = _samples(target)
+    """The four parts of the estimate; every input is a finite 1-d signal of one length."""
+    est = _samples(estimate, "estimate")
+    tgt = _samples(target, "target")
     if est.shape != tgt.shape:
         raise FootfallError("estimate and target lengths differ", estimate=est.size, target=tgt.size)
     if not np.any(tgt):
         raise FootfallError("clean target has zero energy")
-    itf = [_samples(s) for s in interferers]
-    nse = [] if noise is None else [_samples(noise)]
+    itf = [_samples(s, "interferers") for s in interferers]
+    nse = [] if noise is None else [_samples(noise, "noise")]
+    for name, refs in (("interferers", itf), ("noise", nse)):
+        if any(x.shape != est.shape for x in refs):
+            raise FootfallError(f"{name} and estimate lengths differ", argument=name,
+                                estimate=est.size)
 
     s_tgt = _project(est, [tgt])
     p_ti = _project(est, [tgt] + itf)
@@ -109,6 +120,6 @@ def score_separation(estimate, target, interferers, noise=None) -> SeparationSco
 
 def snr_db(signal, noise) -> float:
     """Plain energy ratio in dB between two stems."""
-    s = _samples(signal)
-    n = _samples(noise)
+    s = _samples(signal, "signal")
+    n = _samples(noise, "noise")
     return _ratio_db(float(np.sum(s * s)), float(np.sum(n * n)))

@@ -61,8 +61,9 @@ class DetectionEvent:
 
 
 def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
-    if frame <= 0:
-        raise FootfallError("frame length must be positive", frame=frame)
+    if not isinstance(frame, (int, np.integer)) or frame <= 0:
+        raise FootfallError("frame length must be a positive whole number of samples",
+                            frame=frame)
     n_full = x.size // frame
     out = np.sqrt(np.mean(x[: n_full * frame].reshape(n_full, frame) ** 2, axis=1)) \
         if n_full else np.zeros(0)

@@ -19,15 +19,19 @@ of their energy.
 The fits use the square-root multiplicative updates of Fevotte & Idier
 (Neural Computation 2011) and, as there, stop once the divergence falls by
 no more than a relative _TOL in one sweep, after at most ITERS sweeps. The
-sweeps work in float32; inputs and the returned model are float64. The
-divergence track of a fit comes from the p/v ratios the sweeps form anyway,
-summed in float32, and is_divergence is the float64 reference it is tested
-against. Each fit cuts the frame axis into _PARTS fixed halves, and a
-two-worker thread pool runs the steps local to a frame column on both at
-once, in one dispatch per sweep; their shares of the template step and of
-the divergence are added in a fixed order, so the result never depends on
-the core count or on thread timing. nmf_separate divides the power by its
-peak and rounds it to float32 once, so every fit, the refinement pass's
+one exception is the blind fit over a weak floor between the steps (pink
+noise, no voice): after a dozen or so sweeps the updates lower the
+divergence there only by moving that floor into the footstep components,
+so that fit stops after at most QUIET_ITERS sweeps. The sweeps work in
+float32; inputs and the returned model are float64. The divergence track
+of a fit comes from the p/v ratios the sweeps form anyway, summed in
+float32, and is_divergence is the float64 reference it is tested against.
+Each fit cuts the frame axis into _PARTS fixed halves, and a two-worker
+thread pool runs the steps local to a frame column on both at once, in one
+dispatch per sweep; their shares of the template step and of the
+divergence are added in a fixed order, so the result never depends on the
+core count or on thread timing. nmf_separate divides the power by its peak
+and rounds it to float32 once, so every fit, the refinement pass's
 included, sweeps the same bits at any mixture level.
 """
 
@@ -47,6 +51,7 @@ from .types import Waveform
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
 ITERS = 120  # most sweeps of one fit
+QUIET_ITERS = 16  # most sweeps of the blind fit over a weak floor between steps
 _TOL = 3e-4  # a fit stops once one sweep lowers the divergence by no more than this share
 _WINDOW_LEN = 512
 _HOP = 256
@@ -60,6 +65,7 @@ _COMB_FLOOR = 0.05
 _ONSET_TAIL = 8  # frames of decay each onset window keeps at most
 _LOUD_FRAC = 0.3  # share of frames that may hold footstep energy
 _GUARD = 6  # frames of impact decay on each side of a loud frame
+_WEAK_FLOOR = 0.02  # step-free frame energy over the mean frame energy, at most (-17 dB)
 
 
 @dataclass
@@ -258,7 +264,7 @@ class _Half:
             return partials
 
 
-def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
+def _mu_sweeps(p, w, h, n_free_cols, iters) -> np.ndarray:
     """In-place multiplicative update sweeps; returns the divergence track.
 
     Updates use the square-root exponent, the majorization-minimization form
@@ -266,7 +272,7 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
     first n_free_cols template columns move; the rest stay fixed (their
     activations still adapt), which lets a caller pin pre-fitted templates.
     The sweeps stop after the first one that lowers the divergence by no more
-    than _TOL of its previous value, or after ITERS; the track holds the
+    than _TOL of its previous value, or after iters; the track holds the
     starting divergence and one entry per sweep run.
 
     The sweeps run in float32 on copies of p / max(p), w and h; dividing by
@@ -311,7 +317,7 @@ def _mu_sweeps(p, w, h, n_free_cols) -> np.ndarray:
             return sum(r for r, _ in partials) - sum(lg for _, lg in partials) - p.size
 
         track = [step(np.ones((1, n_free_cols), dtype=f32))]  # x * 1 is exact
-        for i in range(1, ITERS + 1):
+        for i in range(1, iters + 1):
             for half in halves:
                 half.h, half.h_next = half.h_next, half.h
             with np.errstate(all="ignore"):
@@ -369,24 +375,29 @@ def voice_templates(power: np.ndarray, rng: np.random.Generator | None = None) -
     w = rng.uniform(0.1, 1.0, size=(q, R_VOICE))
     w /= w.sum(axis=0, keepdims=True)
     h = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
-    _mu_sweeps(p, w, h, R_VOICE)
+    _mu_sweeps(p, w, h, R_VOICE, ITERS)
     return w
 
 
 def nmf_fit(power: np.ndarray, period_frames: float,
             rng: np.random.Generator | None = None,
             voice_w: np.ndarray | None = None,
-            foot_h: np.ndarray | None = None) -> tuple[NmfModel, np.ndarray]:
+            foot_h: np.ndarray | None = None,
+            iters: int = ITERS) -> tuple[NmfModel, np.ndarray]:
     """Factor a power spectrogram into footstep and voice components.
 
     Returns the fitted model and the divergence track (starting value plus
-    one entry per sweep run: at most ITERS, fewer once a sweep lowers the
+    one entry per sweep run: at most iters, fewer once a sweep lowers the
     divergence by no more than a relative _TOL); the track is
     non-increasing. When voice_w is given those templates are pinned and
     only their activations adapt; otherwise the voice share starts random
     and moves freely. foot_h overrides the footstep activation start
-    (default: free-phase comb at period_frames).
+    (default: free-phase comb at period_frames). iters, a positive integer,
+    caps the sweeps; nmf_separate lowers it to QUIET_ITERS for a blind fit
+    over a weak noise floor.
     """
+    if not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise FootfallError("iters must be a positive integer", iters=iters)
     if rng is None:
         rng = np.random.default_rng(0)
     p = _floored(power)
@@ -416,7 +427,7 @@ def nmf_fit(power: np.ndarray, period_frames: float,
     else:
         h[:rf] = foot_h
     h[rf:] = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
-    track = _mu_sweeps(p, w, h, n_free)
+    track = _mu_sweeps(p, w, h, n_free, iters)
     return NmfModel(w=w, h=h, r_footstep=rf, r_voice=R_VOICE), track
 
 
@@ -442,6 +453,12 @@ def nmf_separate(mix: Waveform, step_freq: float,
     the mixture is resampled to 16 kHz (scipy's resample_poly) and the
     footstep stem resampled back and cropped to the input length, so it
     carries nothing above 8 kHz; at 16 kHz and below nothing is resampled.
+
+    When the step-free frames carry a clear energy share, voice templates
+    learned on them are pinned (four fits); otherwise one blind fit runs.
+    That blind fit runs at most QUIET_ITERS sweeps when the step-free frames
+    average at most _WEAK_FLOOR of the mean frame energy (-17 dB), and
+    ITERS otherwise, as when there are no step-free frames at all.
     """
     if not (math.isfinite(step_freq) and step_freq > 0):
         raise FootfallError("step frequency must be finite and positive", step_freq=step_freq)
@@ -464,6 +481,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     frame_rate = x.sample_rate / _HOP
     period = frame_rate / step_freq
     quiet = step_free_frames(power)
+    n_quiet = int(quiet.sum())
     # Footstep activations start confined to the observed impacts in both
     # branches. With real interference present, the step-free frames carry
     # a clear energy share; pin voice templates learned there, then refine
@@ -471,7 +489,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # fit runs; from the free-phase comb, whose bumps sit at period
     # multiples from frame 0, steps out of that phase would end up in the
     # voice components.
-    if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
+    if n_quiet >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
         foot_h = onset_comb(power, period, rng)
         model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
@@ -479,7 +497,11 @@ def nmf_separate(mix: Waveform, step_freq: float,
         voice_w = voice_templates(mask_voice**2 * power, rng=rng)
         model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
     else:
-        model, _ = nmf_fit(power, period, rng=rng, foot_h=onset_comb(power, period, rng))
+        # Over a weak floor between the steps, sweeps past the first 16 or so
+        # only move that floor into the footstep components.
+        weak = n_quiet > 0 and power[:, quiet].mean() <= _WEAK_FLOOR * power.mean()
+        model, _ = nmf_fit(power, period, rng=rng, foot_h=onset_comb(power, period, rng),
+                           iters=QUIET_ITERS if weak else ITERS)
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, x.samples.size).samples

@@ -77,3 +77,34 @@ def test_score_rejects_impossible_pairs():
         SeparationScore(sir=np.nan, sdr=0.0)
     with pytest.raises(FootfallError):
         SeparationScore(sir=-10.0, sdr=60.0)
+
+
+def _bad(x, kind):
+    """x with one NaN sample, or x stacked into two rows."""
+    if kind == "nan":
+        x = x.copy()
+        x[7] = np.nan
+        return x
+    return np.stack([x, x])
+
+
+@pytest.mark.parametrize("kind", ["nan", "2-d"])
+@pytest.mark.parametrize("name", ["estimate", "target", "interferers", "noise"])
+def test_decompose_names_a_non_finite_or_multi_dim_input(capfd, name, kind):
+    t, i, n, a = _orthonormal_signals()
+    args = {"estimate": t + 0.5 * i + 0.1 * a, "target": t, "interferers": [i], "noise": n}
+    args[name] = [_bad(i, kind)] if name == "interferers" else _bad(args[name], kind)
+    with pytest.raises(FootfallError) as err:
+        sdr(**args)
+    assert err.value.details["argument"] == name
+    assert capfd.readouterr().err == ""  # LAPACK never saw the bad input
+
+
+@pytest.mark.parametrize("name", ["interferers", "noise"])
+def test_decompose_names_a_reference_of_another_length(name):
+    t, i, n, _ = _orthonormal_signals()
+    args = {"interferers": [i], "noise": n}
+    args[name] = [i[:-1]] if name == "interferers" else n[:-1]
+    with pytest.raises(FootfallError) as err:
+        decompose(t + 0.5 * i, t, **args)
+    assert err.value.details["argument"] == name

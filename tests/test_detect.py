@@ -72,10 +72,15 @@ def test_gate_threshold_tracks_the_noise_floor():
     assert gate_threshold(w, 160) == pytest.approx(0.04, rel=0.2)
 
 
-def test_gate_threshold_rejects_a_zero_frame():
+@pytest.mark.parametrize("gate", [
+    lambda w, frame: gate_threshold(w, frame),
+    lambda w, frame: energy_gate(w, frame, 0.1),
+], ids=["gate_threshold", "energy_gate"])
+@pytest.mark.parametrize("frame", [0, 160.5], ids=["zero", "fractional"])
+def test_gate_threshold_rejects_a_zero_frame(gate, frame):
     with pytest.raises(FootfallError) as err:
-        gate_threshold(Waveform(np.ones(FS), FS), 0)
-    assert err.value.details == {"frame": 0}
+        gate(Waveform(np.ones(FS), FS), frame)
+    assert err.value.details == {"frame": frame}
 
 
 def test_classification_features_drop_level():

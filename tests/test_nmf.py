@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def _random_power(q=48, p=160, seed=5):
     return np.random.default_rng(seed).uniform(0.05, 1.0, size=(q, p))
 
 
-@pytest.fixture(scope="module", params=[16000, 48000])
+@pytest.fixture(scope="module", params=[16000, 48000, 44100])
 def babble_mix(request):
-    """A 0 dB babble mixture at 16 and at 48 kHz."""
+    """A 0 dB babble mixture at 16, 48 and 44.1 kHz."""
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=request.param)
     return mix
 
@@ -315,9 +316,17 @@ def test_stems_sum_to_the_mixture(fs, drop):
     assert rms(foot.samples + voice.samples - mix.samples) < 1e-6
 
 
-@pytest.mark.parametrize("duration", [4.0, 8.0])  # blind and pinned-template branch
-def test_separation_and_cleanup_are_bitwise_deterministic(duration):
-    mix, _, _ = _mix_parts(seed=4, sir_db=0.0, duration=duration)
+@pytest.mark.parametrize("duration, fs", [
+    pytest.param(4.0, 16000, id="4.0"),  # blind branch
+    pytest.param(8.0, 16000, id="8.0"),  # pinned-template branch
+    # 8 kHz: blind at both lengths, too few step-free frames of 64 ms
+    pytest.param(4.0, 8000, id="4.0-8000"),
+    pytest.param(8.0, 8000, id="8.0-8000"),
+    pytest.param(4.0, 44100, id="4.0-44100"),
+    pytest.param(8.0, 44100, id="8.0-44100"),
+])
+def test_separation_and_cleanup_are_bitwise_deterministic(duration, fs):
+    mix, _, _ = _mix_parts(seed=4, sir_db=0.0, duration=duration, fs=fs)
     runs = []
     for _ in range(2):
         foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(4))
@@ -325,6 +334,23 @@ def test_separation_and_cleanup_are_bitwise_deterministic(duration):
         runs.append((foot.samples, voice.samples, final.samples))
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+
+
+def test_blind_fit_over_babble_is_not_capped(monkeypatch):
+    # the mixture of the blind case below: its step-free frames sit at -6.3 dB
+    counts = _sweep_counts(monkeypatch)
+    mix, _, _ = _mix_parts(seed=3, sir_db=0.0)
+    nmf_separate(mix, PACE, rng=np.random.default_rng(3))
+    assert len(counts) == 1 and counts[0] > nmf.QUIET_ITERS
+
+
+def test_capture_without_step_free_frames_separates_without_a_warning():
+    mix = Waveform(np.random.default_rng(0).standard_normal(FS // 5), FS)
+    assert not step_free_frames(_power(mix)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(0))
+    assert rms(foot.samples + voice.samples - mix.samples) < 1e-6
 
 
 @pytest.mark.parametrize("seed, template_fits", [(3, 0), (4, 2)], ids=["blind", "pinned"])
@@ -366,21 +392,44 @@ def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatc
 WALK_RATES = (16000, 44100, 48000)
 
 
+def _wood_walk(seed, fs, snr_db):
+    """Mixture and clean footstep stem of a 4 s WOOD_JOIST walk in pink
+    noise at snr_db (none when None)."""
+    walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0],
+                          np.random.default_rng(seed), start_time=0.5)
+    noise = {} if snr_db is None else {"noise_kind": "pink", "target_snr_db": snr_db}
+    scene = Scene(floor=WOOD_JOIST, array=MicArray(np.array([[0.0, 0.0]])),
+                  walkers=(walker,), duration_s=4.0, sample_rate=fs, seed=seed, **noise)
+    out, truth = render_scene(scene)
+    return out.channel(0), truth.footstep_mix()[0]
+
+
 @pytest.fixture(scope="module")
 def wood_walks():
-    """{(seed, fs): (mixture, clean footstep stem)} of a 4 s WOOD_JOIST walk
-    in 20 dB pink noise, seeds 0-2, rendered at every rate of WALK_RATES."""
-    walks = {}
-    for seed in range(3):
-        for fs in WALK_RATES:
-            walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0],
-                                  np.random.default_rng(seed), start_time=0.5)
-            scene = Scene(floor=WOOD_JOIST, array=MicArray(np.array([[0.0, 0.0]])),
-                          walkers=(walker,), noise_kind="pink", target_snr_db=20.0,
-                          duration_s=4.0, sample_rate=fs, seed=seed)
-            out, truth = render_scene(scene)
-            walks[seed, fs] = out.channel(0), truth.footstep_mix()[0]
-    return walks
+    """{(seed, fs): (mixture, clean footstep stem)} of the 20 dB SNR walk,
+    seeds 0-2, rendered at every rate of WALK_RATES."""
+    return {(seed, fs): _wood_walk(seed, fs, 20.0) for seed in range(3) for fs in WALK_RATES}
+
+
+def test_blind_fit_over_a_weak_noise_floor_is_capped(monkeypatch, wood_walks):
+    counts = _sweep_counts(monkeypatch)
+    for (seed, fs), (mix, _) in wood_walks.items():
+        counts.clear()
+        nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
+        assert len(counts) == 1 and counts[0] <= nmf.QUIET_ITERS, (seed, fs)
+
+
+@pytest.mark.parametrize("snr_db", [30.0, None], ids=["pink-30db", "noise-free"])
+def test_capped_blind_fit_loses_at_most_half_a_db(monkeypatch, snr_db):
+    mix, clean = _wood_walk(0, 48000, snr_db)
+    counts = _sweep_counts(monkeypatch)
+    cap = nmf.QUIET_ITERS
+    foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(0))
+    assert counts == [cap]  # the cap ended the fit, not _TOL
+    monkeypatch.setattr(nmf, "QUIET_ITERS", nmf.ITERS)
+    reference, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(0))
+    assert counts[1] > cap
+    assert sdr(foot, clean) >= sdr(reference, clean) - 0.5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -461,6 +510,13 @@ def test_model_validation_rejects_bad_state():
         NmfModel(w=2.0 * w, h=h, r_footstep=1, r_voice=2)
     with pytest.raises(FootfallError):
         NmfModel(w=w, h=h, r_footstep=2, r_voice=2)
+
+
+@pytest.mark.parametrize("iters", [0, 2.5, None])
+def test_fit_rejects_a_bad_sweep_cap(iters):
+    with pytest.raises(FootfallError) as err:
+        nmf_fit(_random_power(), 20.0, iters=iters)
+    assert err.value.details == {"iters": iters}
 
 
 def test_fit_rejects_bad_inputs():
