@@ -19,19 +19,21 @@ of their energy.
 The fits use the square-root multiplicative updates of Fevotte & Idier
 (Neural Computation 2011) and, as there, stop once the divergence falls by
 no more than a relative _TOL in one sweep, after at most ITERS sweeps. The
-one exception is the blind fit over a weak floor between the steps (pink
-noise, no voice): after a dozen or so sweeps the updates lower the
-divergence there only by moving that floor into the footstep components,
-so that fit stops after at most QUIET_ITERS sweeps. The sweeps work in
-float32; inputs and the returned model are float64. The divergence track
-of a fit comes from the p/v ratios the sweeps form anyway, summed in
-float32, and is_divergence is the float64 reference it is tested against.
-Each fit cuts the frame axis into _PARTS fixed halves, and a two-worker
-thread pool runs the steps local to a frame column on both at once, in one
-dispatch per sweep; their shares of the template step and of the
-divergence are added in a fixed order, so the result never depends on the
-core count or on thread timing. nmf_separate divides the power by its peak
-and rounds it to float32 once, so every fit, the refinement pass's
+one exception is the blind fit over a weak, stationary floor between the
+steps (pink noise, no voice): after a dozen or so sweeps the updates lower
+the divergence there only by moving that floor into the footstep
+components, so that fit stops after at most QUIET_ITERS sweeps. A voice as
+weak as that floor still swings from syllable to pause, which the
+stationarity gap of the step-free frames tells apart, and keeps ITERS. The
+sweeps work in float32; inputs and the returned model are float64. The
+divergence track of a fit comes from the p/v ratios the sweeps form anyway,
+summed in float32, and is_divergence is the float64 reference it is tested
+against. Each fit cuts the frame axis into _PARTS fixed halves, and a
+two-worker thread pool runs the steps local to a frame column on both at
+once, in one dispatch per sweep; their shares of the template step and of
+the divergence are added in a fixed order, so the result never depends on
+the core count or on thread timing. nmf_separate divides the power by its
+peak and rounds it to float32 once, so every fit, the refinement pass's
 included, sweeps the same bits at any mixture level.
 """
 
@@ -66,6 +68,10 @@ _ONSET_TAIL = 8  # frames of decay each onset window keeps at most
 _LOUD_FRAC = 0.3  # share of frames that may hold footstep energy
 _GUARD = 6  # frames of impact decay on each side of a loud frame
 _WEAK_FLOOR = 0.02  # step-free frame energy over the mean frame energy, at most (-17 dB)
+# Stationarity gap of the step-free frames below _GAP_BAND, at most: a
+# stationary Gaussian floor reads Euler's gamma (0.58), a voice reads more.
+_STATIONARY_GAP = 1.0
+_GAP_BAND = 4000.0  # Hz; speech carries its syllabic swings below this
 
 
 @dataclass
@@ -442,6 +448,34 @@ def source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
     return foot / total, voice / total
 
 
+def _stationarity_gap(power: np.ndarray, sample_rate: float) -> float:
+    """Mean over the bins below _GAP_BAND of log(mean power) - mean(log power).
+
+    power is a (bins, frames) spectrogram of _WINDOW_LEN-sample frames. Each
+    bin of a stationary Gaussian floor has exponentially distributed power,
+    for which the gap is Euler's gamma (0.58) at any level; a voice swings
+    by tens of dB from syllable to pause and raises it, however weak.
+    """
+    n_bins = math.ceil(_GAP_BAND * _WINDOW_LEN / sample_rate)
+    low = np.maximum(np.asarray(power, dtype=np.float64)[:n_bins], _POWER_FLOOR)
+    return float(np.mean(np.log(low.mean(axis=1)) - np.log(low).mean(axis=1)))
+
+
+def _weak_noise_floor(power: np.ndarray, quiet: np.ndarray, sample_rate: float) -> bool:
+    """Whether the step-free frames hold only a weak stationary floor.
+
+    Weak: they average at most _WEAK_FLOOR of the mean frame energy.
+    Stationary: their _stationarity_gap is at most _STATIONARY_GAP, which
+    tells pink noise from a voice at the same level. False when there are
+    no step-free frames.
+    """
+    if not quiet.any():
+        return False
+    floor = power[:, quiet]
+    return bool(floor.mean() <= _WEAK_FLOOR * power.mean()
+                and _stationarity_gap(floor, sample_rate) <= _STATIONARY_GAP)
+
+
 def nmf_separate(mix: Waveform, step_freq: float,
                  rng: np.random.Generator | None = None) -> tuple[Waveform, Waveform]:
     """Split a single-channel mixture into footstep and voice stems.
@@ -457,8 +491,8 @@ def nmf_separate(mix: Waveform, step_freq: float,
     When the step-free frames carry a clear energy share, voice templates
     learned on them are pinned (four fits); otherwise one blind fit runs.
     That blind fit runs at most QUIET_ITERS sweeps when the step-free frames
-    average at most _WEAK_FLOOR of the mean frame energy (-17 dB), and
-    ITERS otherwise, as when there are no step-free frames at all.
+    hold a weak stationary floor (_weak_noise_floor), and ITERS otherwise:
+    over a voice, however weak, or when there are no step-free frames.
     """
     if not (math.isfinite(step_freq) and step_freq > 0):
         raise FootfallError("step frequency must be finite and positive", step_freq=step_freq)
@@ -481,7 +515,6 @@ def nmf_separate(mix: Waveform, step_freq: float,
     frame_rate = x.sample_rate / _HOP
     period = frame_rate / step_freq
     quiet = step_free_frames(power)
-    n_quiet = int(quiet.sum())
     # Footstep activations start confined to the observed impacts in both
     # branches. With real interference present, the step-free frames carry
     # a clear energy share; pin voice templates learned there, then refine
@@ -489,7 +522,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # fit runs; from the free-phase comb, whose bumps sit at period
     # multiples from frame 0, steps out of that phase would end up in the
     # voice components.
-    if n_quiet >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
+    if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
         foot_h = onset_comb(power, period, rng)
         model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
@@ -497,11 +530,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
         voice_w = voice_templates(mask_voice**2 * power, rng=rng)
         model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
     else:
-        # Over a weak floor between the steps, sweeps past the first 16 or so
-        # only move that floor into the footstep components.
-        weak = n_quiet > 0 and power[:, quiet].mean() <= _WEAK_FLOOR * power.mean()
+        iters = QUIET_ITERS if _weak_noise_floor(power, quiet, rate) else ITERS
         model, _ = nmf_fit(power, period, rng=rng, foot_h=onset_comb(power, period, rng),
-                           iters=QUIET_ITERS if weak else ITERS)
+                           iters=iters)
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, x.samples.size).samples

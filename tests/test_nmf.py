@@ -11,7 +11,7 @@ from footfall.dsp import analyze_padded, rms, stft
 from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB, WOOD_JOIST
 from footfall.footsteps import FootstepPersona
-from footfall.interferers import babble
+from footfall.interferers import babble, pink_noise
 from footfall.nmf import (
     NmfModel,
     comb_activations,
@@ -342,6 +342,27 @@ def test_blind_fit_over_babble_is_not_capped(monkeypatch):
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0)
     nmf_separate(mix, PACE, rng=np.random.default_rng(3))
     assert len(counts) == 1 and counts[0] > nmf.QUIET_ITERS
+
+
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_blind_fit_over_a_weak_voice_is_not_capped(monkeypatch, fs):
+    # 20 dB SIR babble: the step-free frames are as weak as pink noise at
+    # 20 dB SNR, but the voice swings from syllable to pause
+    counts = _sweep_counts(monkeypatch)
+    mix, _, _ = _mix_parts(seed=1, sir_db=20.0, duration=4.0, fs=fs)
+    nmf_separate(mix, PACE, rng=np.random.default_rng(1))
+    monkeypatch.setattr(nmf, "_STATIONARY_GAP", np.inf)  # the level alone would cap it
+    nmf_separate(mix, PACE, rng=np.random.default_rng(1))
+    assert len(counts) == 2 and counts[0] > nmf.QUIET_ITERS >= counts[1]
+
+
+def test_stationarity_gap_reads_euler_gamma_on_noise_at_any_level():
+    noise = Waveform(pink_noise(4 * FS, np.random.default_rng(0)), FS)
+    power = stft(noise, 512, 256).magnitudes**2
+    gap = nmf._stationarity_gap(power, FS)
+    assert abs(gap - np.euler_gamma) < 0.05
+    assert nmf._stationarity_gap(1e-4 * power, FS) == pytest.approx(gap, abs=1e-9)
+    assert gap <= nmf._STATIONARY_GAP
 
 
 def test_capture_without_step_free_frames_separates_without_a_warning():
