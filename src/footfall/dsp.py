@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FootfallError
-from .types import Spectrogram, Waveform
+from .types import Spectrogram, Waveform, _as_whole
 
 # Relative floor under which the overlap-add weight is treated as zero.
 _OLA_FLOOR = 1e-8
@@ -57,20 +57,21 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 def ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     """Sum of squared analysis windows overlapped at the given hop."""
-    _check_hop(window.size, hop)
+    _, hop = _check_hop(window.size, hop)
     wsq = window * window
     return _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), hop)
 
 
-def _check_hop(window_len: int, hop: int) -> None:
-    if hop <= 0:
-        raise FootfallError("hop must be positive", hop=hop)
+def _check_hop(window_len, hop) -> tuple[int, int]:
+    """window_len and hop as ints: positive whole numbers, hop at most window_len."""
+    window_len, hop = _as_whole(window_len, "window_len"), _as_whole(hop, "hop")
     if hop > window_len:
         raise FootfallError(
             "hop larger than window breaks overlap-add reconstruction",
             hop=hop,
             window_len=window_len,
         )
+    return window_len, hop
 
 
 def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
@@ -79,7 +80,7 @@ def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
     Frames lie fully inside the signal (no padding), so shifting the input by
     one hop shifts the frame axis by exactly one column.
     """
-    _check_hop(window_len, hop)
+    window_len, hop = _check_hop(window_len, hop)
     frames = _frame(w.samples, window_len, hop)
     window = hann_window(window_len)
     z = np.fft.rfft(frames * window, axis=1).T  # (n_bins, n_frames)
@@ -99,22 +100,23 @@ def istft(spec: Spectrogram) -> Waveform:
     the original signal to well below 1e-6 RMS; edge samples are attenuated
     where the window weight vanishes.
     """
+    window_len, hop = _check_hop(spec.window_len, spec.hop)  # its fields can be reassigned
     z = spec.complex_values()
-    window = hann_window(spec.window_len)
-    frames = np.fft.irfft(z.T, n=spec.window_len, axis=1)
+    window = hann_window(window_len)
+    frames = np.fft.irfft(z.T, n=window_len, axis=1)
     n_frames = frames.shape[0]
-    n = (n_frames - 1) * spec.hop + spec.window_len
-    den = ola_weight(window, spec.hop, n_frames)
+    n = (n_frames - 1) * hop + window_len
+    den = ola_weight(window, hop, n_frames)
     # Overlap-add requires the interior weight to stay bounded away from zero.
-    interior = den[spec.window_len : n - spec.window_len]
+    interior = den[window_len : n - window_len]
     if interior.size and interior.min() < _OLA_FLOOR * den.max():
         raise FootfallError(
             "window/hop combination is not overlap-add invertible",
-            window_len=spec.window_len,
-            hop=spec.hop,
+            window_len=window_len,
+            hop=hop,
         )
     frames *= window
-    acc = _overlap_add(frames, spec.hop)
+    acc = _overlap_add(frames, hop)
     out = np.where(den > _OLA_FLOOR * den.max(), acc / np.maximum(den, 1e-300), 0.0)
     return Waveform(out, spec.sample_rate)
 
@@ -155,7 +157,7 @@ def analyze_padded(w: Waveform, window_len: int, hop: int) -> tuple[Spectrogram,
     Returns the spectrogram and the offset of the first original sample;
     synthesize_padded inverts it back to the exact original length.
     """
-    _check_hop(window_len, hop)  # before the frame count divides by it
+    window_len, hop = _check_hop(window_len, hop)  # before the frame count divides by it
     pad = window_len
     n = w.samples.size
     total = pad + n + pad

@@ -203,19 +203,13 @@ def _forward(net: IdNet, x: np.ndarray, train: bool, rng=None):
     return f, id_logits, dom_logits, cache
 
 
-def forward(net: IdNet, patches, mode: str = "eval", rng=None):
+def forward(net: IdNet, patches):
     """Features plus identity and domain distributions for the given patches.
 
-    mode "train" enables dropout and batch statistics; "eval" is pure and
+    An eval-mode pass: running batch-norm statistics, no dropout, pure and
     deterministic. Returns (f, identity probs, domain probs) as arrays.
     """
-    if mode not in ("train", "eval"):
-        raise FootfallError("mode must be train or eval", mode=mode)
-    x = _as_patches(patches)
-    train = mode == "train"
-    if train and rng is None:
-        rng = np.random.default_rng(0)
-    f, id_logits, dom_logits, _ = _forward(net, x, train, rng)
+    f, id_logits, dom_logits, _ = _forward(net, _as_patches(patches), False)
     return f, _softmax(id_logits), _softmax(dom_logits)
 
 
@@ -259,8 +253,8 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
     """One train-mode forward and backward pass over a batch.
 
     Returns ((L_u, L_c, L_delta), gradients keyed like net.p, f). L_c is
-    the batch sum 0.5 * |f - c|^2. With domains None the adversarial branch
-    is skipped: L_delta is 0 and the domain head gets zero gradients.
+    the batch sum 0.5 * |f - c|^2. With a single domain the domain softmax
+    has one class, so L_delta and every domain-head gradient are exactly 0.
     """
     with np.errstate(all="ignore"):
         p, m = net.p, x.shape[0]
@@ -275,19 +269,14 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
         grads["id_hidden_w"], grads["id_hidden_b"], g_f = _dense_backward(
             g, f, p["id_hidden_w"])
         g_f = g_f + (lam / m) * diff
-        l_d = 0.0
-        if domains is None:
-            for name in ("dom_hidden_w", "dom_hidden_b", "dom_out_w", "dom_out_b"):
-                grads[name] = np.zeros_like(p[name])
-        else:
-            l_d, g = _cross_entropy(dom_logits, domains)
-            s = c["dom_hidden"]
-            grads["dom_out_w"], grads["dom_out_b"], g = _dense_backward(g, s, p["dom_out_w"])
-            g = g * s * (1.0 - s)
-            grads["dom_hidden_w"], grads["dom_hidden_b"], g = _dense_backward(
-                g, c["gated"], p["dom_hidden_w"])
-            g_dom_f = g * latent + (g * f * latent * (1.0 - latent)) @ p["id_hidden_w"].T
-            g_f = g_f - lam_grl * g_dom_f
+        l_d, g = _cross_entropy(dom_logits, domains)
+        s = c["dom_hidden"]
+        grads["dom_out_w"], grads["dom_out_b"], g = _dense_backward(g, s, p["dom_out_w"])
+        g = g * s * (1.0 - s)
+        grads["dom_hidden_w"], grads["dom_hidden_b"], g = _dense_backward(
+            g, c["gated"], p["dom_hidden_w"])
+        g_dom_f = g * latent + (g * f * latent * (1.0 - latent)) @ p["id_hidden_w"].T
+        g_f = g_f - lam_grl * g_dom_f
         # one backward pass through the trunk
         grads["project_w"], grads["project_b"], g = _dense_backward(
             g_f, c["h2"], p["project_w"])
@@ -368,7 +357,7 @@ def evaluate_accuracy(net: IdNet, patches, labels, batch: int = 256) -> float:
     labels = np.asarray(labels)
     hits = 0
     for lo in range(0, x.shape[0], batch):
-        _, pu, _ = forward(net, x[lo:lo + batch], mode="eval")
+        _, pu, _ = forward(net, x[lo:lo + batch])
         hits += int(np.sum(pu.argmax(axis=1) == labels[lo:lo + batch]))
     return hits / max(1, labels.size)
 
@@ -385,14 +374,14 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     The center term of L_eta is normalized per sample, keeping lam
     independent of batch size and the projection-layer curvature
     (lam * |h|^2 / m) inside the step-size stability region; the batch-sum
-    form diverges at this learning rate. Single-domain datasets skip the
-    adversarial branch entirely. Deterministic for a given seed. The log
-    reports the per-sample center loss.
+    form diverges at this learning rate. On a single-domain dataset the
+    domain loss and its gradients are exactly 0, so training reduces to
+    L_eta. Deterministic for a given seed. The log reports the per-sample
+    center loss.
     """
     rng = np.random.default_rng(config.seed)
     net = IdNet(dataset.n_users, dataset.n_domains, seed=config.seed)
     centers = np.zeros((dataset.n_users, FEATURE_DIM))
-    adversarial = dataset.n_domains >= 2
 
     order = rng.permutation(dataset.x.shape[0])
     n_val = int(round(config.val_fraction * order.size))
@@ -403,16 +392,15 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     velocity = {name: np.zeros_like(a) for name, a in net.p.items()}
     log = []
     for epoch in range(config.epochs):
-        lam_grl = config.lam_grl * _grl_ramp(epoch, config.epochs) if adversarial else 0.0
+        lam_grl = config.lam_grl * _grl_ramp(epoch, config.epochs)
         perm = train_idx[rng.permutation(train_idx.size)]
         sums = np.zeros(3)
         n_batches = 0
         for lo in range(0, perm.size, config.batch):
             idx = perm[lo:lo + config.batch]
-            losses, grads, f = _train_step(
-                net, dataset.x[idx], dataset.users[idx],
-                dataset.domains[idx] if adversarial else None,
-                centers, config.lam, lam_grl, rng)
+            losses, grads, f = _train_step(net, dataset.x[idx], dataset.users[idx],
+                                           dataset.domains[idx], centers, config.lam,
+                                           lam_grl, rng)
             if not np.all(np.isfinite(losses)):
                 raise FootfallError("training diverged", epoch=epoch)
             for name, g in grads.items():
@@ -450,7 +438,7 @@ def identify(net: IdNet, patches, voting: str = "single"):
     if len(patches) != n:
         raise FootfallError("voting scheme needs a different step count",
                             voting=voting, expected=n, got=len(patches))
-    _, pu, _ = forward(net, np.stack([_as_patches(p)[0] for p in patches]), "eval")
+    _, pu, _ = forward(net, np.stack([_as_patches(p)[0] for p in patches]))
     votes = pu.argmax(axis=1)
     counts = np.bincount(votes, minlength=net.n_users)
     winner = int(counts.argmax())

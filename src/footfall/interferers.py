@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 from .errors import FootfallError
-from .types import Waveform, _as_rate
+from .types import Waveform, _as_whole
 
 VOICE_TOP_HZ = 3800.0
 _BREATH_LO_HZ = 300.0
@@ -120,7 +120,7 @@ def _talker(n: int, sample_rate: int, rng: np.random.Generator,
 def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
            n_talkers: int = 4, pitch_lo: float = 110.0, pitch_hi: float = 290.0) -> Waveform:
     """Unit-RMS chorus of n_talkers synthetic voices."""
-    sample_rate = _as_rate(sample_rate)
+    sample_rate = _as_whole(sample_rate, "sample_rate")
     if not (np.isfinite(duration_s) and duration_s > 0):
         raise FootfallError("duration must be positive and finite", duration_s=duration_s)
     if not (isinstance(n_talkers, numbers.Integral) and n_talkers >= 1):

@@ -5,16 +5,15 @@ activations under the Itakura-Saito divergence, whose scale invariance suits
 audio: a relative error in a quiet bin costs as much as the same relative
 error in a loud one, so low-level impact tails are not sacrificed to loud
 voice harmonics. The component set is split in two, and the footstep share
-starts from activations laid out as a periodic comb at the detected step
-rate, so rhythmic energy settles there while sustained speech lands in the
-rest. The footstep stem is rebuilt through a per-bin Wiener mask and the
-inverse transform; the voice stem is the mixture minus the footstep stem,
-so the two sum back to the input exactly. A capture above 16 kHz is
-resampled to 16 kHz on entry and its footstep stem back to the capture rate
-on exit, so the frames, guards and onset tail span the same time at every
-rate from 16 kHz up and a faster capture costs no more frames; the footstep
-stem carries nothing above 8 kHz, where clean footsteps hold at most 4e-6
-of their energy.
+starts from activations opened only at the observed impacts, one per step
+period (onset_comb), so rhythmic energy settles there while sustained speech
+lands in the rest. The footstep stem is rebuilt through a per-bin Wiener
+mask and the inverse transform; the voice stem is the mixture minus the
+footstep stem, so the two sum back to the input exactly. Every capture is
+separated at 16 kHz: it is resampled to 16 kHz on entry and its footstep
+stem back to the capture rate on exit, so the frames, guards and onset tail
+span the same time at every rate; the footstep stem carries nothing above
+8 kHz, where clean footsteps hold at most 4e-6 of their energy.
 
 The fits use the square-root multiplicative updates of Fevotte & Idier
 (Neural Computation 2011) and, as there, stop once the divergence falls by
@@ -57,21 +56,19 @@ QUIET_ITERS = 16  # most sweeps of the blind fit over a weak floor between steps
 _TOL = 3e-4  # a fit stops once one sweep lowers the divergence by no more than this share
 _WINDOW_LEN = 512
 _HOP = 256
-_RATE = 16000  # Hz; faster captures are separated at this rate
+_RATE = 16000  # Hz; every capture is separated at this rate
 _PARTS = 2  # fixed frame halves of a fit, one per pool worker
 
 # Relative spectral floor: keeps the divergence finite over padded frames.
 _POWER_FLOOR = 1e-10
-_COMB_WIDTH_FRAMES = 1.0
-_COMB_FLOOR = 0.05
 _ONSET_TAIL = 8  # frames of decay each onset window keeps at most
 _LOUD_FRAC = 0.3  # share of frames that may hold footstep energy
 _GUARD = 6  # frames of impact decay on each side of a loud frame
 _WEAK_FLOOR = 0.02  # step-free frame energy over the mean frame energy, at most (-17 dB)
-# Stationarity gap of the step-free frames below _GAP_BAND, at most: a
+# Stationarity gap of the step-free frames over _GAP_BINS, at most: a
 # stationary Gaussian floor reads Euler's gamma (0.58), a voice reads more.
 _STATIONARY_GAP = 1.0
-_GAP_BAND = 4000.0  # Hz; speech carries its syllabic swings below this
+_GAP_BINS = 128  # bins below 4 kHz at _RATE, where speech carries its syllabic swings
 
 
 @dataclass
@@ -128,12 +125,6 @@ def is_divergence(p: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(r - np.log(r) - 1.0))
 
 
-def _check_period(period_frames: float) -> None:
-    if not (math.isfinite(period_frames) and period_frames > 0):
-        raise FootfallError("comb period must be finite and positive",
-                            period_frames=period_frames)
-
-
 def _frame_energy(power: np.ndarray) -> np.ndarray:
     """Per-frame energy of a (bins, frames) power spectrogram; it needs a frame."""
     power = np.asarray(power)
@@ -141,24 +132,6 @@ def _frame_energy(power: np.ndarray) -> np.ndarray:
         raise FootfallError("power spectrogram must be 2-d with at least one frame",
                             shape=tuple(power.shape))
     return power.sum(axis=0)
-
-
-def comb_activations(n_frames: int, period_frames: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Periodic activation prior: one bump per step period.
-
-    Components are staggered one frame apart so that together they can carry
-    the attack and the decay tail of each impact; a small positive floor
-    leaves the factorization free to move energy elsewhere.
-    """
-    _check_period(period_frames)
-    t = np.arange(n_frames, dtype=np.float64)
-    rows = np.empty((R_FOOTSTEP, n_frames))
-    for j in range(R_FOOTSTEP):
-        phase = np.mod(t - j, period_frames)
-        dist = np.minimum(phase, period_frames - phase)
-        rows[j] = _COMB_FLOOR + np.exp(-0.5 * (dist / _COMB_WIDTH_FRAMES) ** 2)
-    return rows * rng.uniform(0.9, 1.1, size=rows.shape)
 
 
 def onset_comb(power: np.ndarray, period_frames: float,
@@ -169,10 +142,12 @@ def onset_comb(power: np.ndarray, period_frames: float,
     onset set; each opens a short activation window for the attack and the
     decay tail. The exact zeros between windows are absorbing under
     multiplicative updates, so footstep components initialized this way can
-    never drift into modelling the continuous interference. Falls back to
-    the free-phase comb when no clear impacts stand out.
+    never drift into modelling the continuous interference. When no clear
+    impact stands out, every frame is opened.
     """
-    _check_period(period_frames)
+    if not (math.isfinite(period_frames) and period_frames > 0):
+        raise FootfallError("comb period must be finite and positive",
+                            period_frames=period_frames)
     energy = _frame_energy(power)
     n = energy.size
     min_gap = max(1, int(round(0.6 * period_frames)))
@@ -184,9 +159,7 @@ def onset_comb(power: np.ndarray, period_frames: float,
             break
         if all(abs(k - o) >= min_gap for o in onsets):
             onsets.append(int(k))
-    if not onsets:
-        return comb_activations(n, period_frames, rng)
-    h = np.zeros((R_FOOTSTEP, n))
+    h = np.zeros((R_FOOTSTEP, n)) if onsets else np.ones((R_FOOTSTEP, n))
     tail = min(_ONSET_TAIL, max(1, int(0.35 * period_frames)))
     for o in onsets:
         h[:, max(0, o - 1): min(n, o + tail + 1)] = 1.0
@@ -385,22 +358,22 @@ def voice_templates(power: np.ndarray, rng: np.random.Generator | None = None) -
     return w
 
 
-def nmf_fit(power: np.ndarray, period_frames: float,
+def nmf_fit(power: np.ndarray, foot_h: np.ndarray,
             rng: np.random.Generator | None = None,
             voice_w: np.ndarray | None = None,
-            foot_h: np.ndarray | None = None,
             iters: int = ITERS) -> tuple[NmfModel, np.ndarray]:
     """Factor a power spectrogram into footstep and voice components.
 
     Returns the fitted model and the divergence track (starting value plus
     one entry per sweep run: at most iters, fewer once a sweep lowers the
     divergence by no more than a relative _TOL); the track is
-    non-increasing. When voice_w is given those templates are pinned and
+    non-increasing. The footstep activations start from foot_h; nmf_separate
+    passes onset_comb's start on the 16 kHz frames it separates every
+    capture on. When voice_w is given those templates are pinned and
     only their activations adapt; otherwise the voice share starts random
-    and moves freely. foot_h overrides the footstep activation start
-    (default: free-phase comb at period_frames). iters, a positive integer,
-    caps the sweeps; nmf_separate lowers it to QUIET_ITERS for a blind fit
-    over a weak noise floor.
+    and moves freely. iters, a positive integer, caps the sweeps;
+    nmf_separate lowers it to QUIET_ITERS for a blind fit over a weak noise
+    floor.
     """
     if not isinstance(iters, (int, np.integer)) or iters < 1:
         raise FootfallError("iters must be a positive integer", iters=iters)
@@ -415,8 +388,7 @@ def nmf_fit(power: np.ndarray, period_frames: float,
         if worst > 1e-6:
             raise FootfallError("voice_w columns must have unit L1 norm",
                                 argument="voice_w", worst=worst)
-    if foot_h is not None:
-        foot_h = _given_start(foot_h, "foot_h", (rf, n_frames))
+    foot_h = _given_start(foot_h, "foot_h", (rf, n_frames))
     w = np.empty((q, rf + R_VOICE))
     w[:, :rf] = rng.uniform(0.1, 1.0, size=(q, rf))
     w[:, :rf] /= w[:, :rf].sum(axis=0, keepdims=True)
@@ -428,10 +400,7 @@ def nmf_fit(power: np.ndarray, period_frames: float,
         w[:, rf:] = voice_w
         n_free = rf
     h = np.empty((rf + R_VOICE, n_frames))
-    if foot_h is None:
-        h[:rf] = comb_activations(n_frames, period_frames, rng)
-    else:
-        h[:rf] = foot_h
+    h[:rf] = foot_h
     h[rf:] = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
     track = _mu_sweeps(p, w, h, n_free, iters)
     return NmfModel(w=w, h=h, r_footstep=rf, r_voice=R_VOICE), track
@@ -448,20 +417,20 @@ def source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
     return foot / total, voice / total
 
 
-def _stationarity_gap(power: np.ndarray, sample_rate: float) -> float:
-    """Mean over the bins below _GAP_BAND of log(mean power) - mean(log power).
+def _stationarity_gap(power: np.ndarray) -> float:
+    """Mean over the lowest _GAP_BINS bins of log(mean power) - mean(log power).
 
-    power is a (bins, frames) spectrogram of _WINDOW_LEN-sample frames. Each
-    bin of a stationary Gaussian floor has exponentially distributed power,
-    for which the gap is Euler's gamma (0.58) at any level; a voice swings
-    by tens of dB from syllable to pause and raises it, however weak.
+    power is a (bins, frames) spectrogram of _WINDOW_LEN-sample frames at
+    _RATE. Each bin of a stationary Gaussian floor has exponentially
+    distributed power, for which the gap is Euler's gamma (0.58) at any
+    level; a voice swings by tens of dB from syllable to pause and raises
+    it, however weak.
     """
-    n_bins = math.ceil(_GAP_BAND * _WINDOW_LEN / sample_rate)
-    low = np.maximum(np.asarray(power, dtype=np.float64)[:n_bins], _POWER_FLOOR)
+    low = np.maximum(np.asarray(power, dtype=np.float64)[:_GAP_BINS], _POWER_FLOOR)
     return float(np.mean(np.log(low.mean(axis=1)) - np.log(low).mean(axis=1)))
 
 
-def _weak_noise_floor(power: np.ndarray, quiet: np.ndarray, sample_rate: float) -> bool:
+def _weak_noise_floor(power: np.ndarray, quiet: np.ndarray) -> bool:
     """Whether the step-free frames hold only a weak stationary floor.
 
     Weak: they average at most _WEAK_FLOOR of the mean frame energy.
@@ -473,7 +442,7 @@ def _weak_noise_floor(power: np.ndarray, quiet: np.ndarray, sample_rate: float) 
         return False
     floor = power[:, quiet]
     return bool(floor.mean() <= _WEAK_FLOOR * power.mean()
-                and _stationarity_gap(floor, sample_rate) <= _STATIONARY_GAP)
+                and _stationarity_gap(floor) <= _STATIONARY_GAP)
 
 
 def nmf_separate(mix: Waveform, step_freq: float,
@@ -483,10 +452,10 @@ def nmf_separate(mix: Waveform, step_freq: float,
     step_freq is the accepted pace line in Hz; it sets the comb period of
     the footstep activation prior. The footstep stem is the Wiener-masked
     mixture and the voice stem is the mixture minus the footstep stem, so
-    both have exactly the input length and sum to the input. Above 16 kHz
-    the mixture is resampled to 16 kHz (scipy's resample_poly) and the
-    footstep stem resampled back and cropped to the input length, so it
-    carries nothing above 8 kHz; at 16 kHz and below nothing is resampled.
+    both have exactly the input length and sum to the input. Every capture
+    is separated at 16 kHz: the mixture is resampled to 16 kHz (scipy's
+    resample_poly, up or down) and the footstep stem resampled back and
+    cropped to the input length, so it carries nothing above 8 kHz.
 
     When the step-free frames carry a clear energy share, voice templates
     learned on them are pinned (four fits); otherwise one blind fit runs.
@@ -499,10 +468,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
     if rng is None:
         rng = np.random.default_rng(0)
     fs = mix.sample_rate
-    rate = min(fs, _RATE)
-    g = math.gcd(rate, fs)
-    up, down = rate // g, fs // g  # 1 and 1 at 16 kHz and below: resample_poly copies
-    x = Waveform(resample_poly(mix.samples, up, down), rate)
+    g = math.gcd(_RATE, fs)
+    up, down = _RATE // g, fs // g  # 1 and 1 at 16 kHz: resample_poly copies
+    x = Waveform(resample_poly(mix.samples, up, down), _RATE)
     spec, offset = analyze_padded(x, _WINDOW_LEN, _HOP)
     power = spec.magnitudes**2
     peak = float(power.max())
@@ -512,27 +480,23 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # of the power over its peak: the rounding of a later, level-dependent
     # array could flip an entry between mixture levels.
     power = (power / peak).astype(np.float32).astype(np.float64)
-    frame_rate = x.sample_rate / _HOP
-    period = frame_rate / step_freq
+    period = _RATE / _HOP / step_freq
     quiet = step_free_frames(power)
     # Footstep activations start confined to the observed impacts in both
     # branches. With real interference present, the step-free frames carry
     # a clear energy share; pin voice templates learned there, then refine
     # the templates once on the first pass's voice stem. Otherwise one blind
-    # fit runs; from the free-phase comb, whose bumps sit at period
-    # multiples from frame 0, steps out of that phase would end up in the
-    # voice components.
+    # fit runs.
     if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
         foot_h = onset_comb(power, period, rng)
-        model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
+        model, _ = nmf_fit(power, foot_h, rng=rng, voice_w=voice_w)
         _, mask_voice = source_masks(model)
         voice_w = voice_templates(mask_voice**2 * power, rng=rng)
-        model, _ = nmf_fit(power, period, rng=rng, voice_w=voice_w, foot_h=foot_h)
+        model, _ = nmf_fit(power, foot_h, rng=rng, voice_w=voice_w)
     else:
-        iters = QUIET_ITERS if _weak_noise_floor(power, quiet, rate) else ITERS
-        model, _ = nmf_fit(power, period, rng=rng, foot_h=onset_comb(power, period, rng),
-                           iters=iters)
+        iters = QUIET_ITERS if _weak_noise_floor(power, quiet) else ITERS
+        model, _ = nmf_fit(power, onset_comb(power, period, rng), rng=rng, iters=iters)
     mask_foot, _ = source_masks(model)
     foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
                              offset, x.samples.size).samples

@@ -22,15 +22,17 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _as_rate(rate) -> int:
-    """A positive whole number of Hz as int; 48000.0 passes, 16000.7 does not."""
+def _as_whole(x, name: str) -> int:
+    """x as an int when it is a positive whole number (48000.0 passes,
+    16000.7 does not); otherwise a FootfallError that calls it name."""
     try:
-        value = float(rate)
+        if isinstance(x, (str, bytes, bool, np.bool_)):  # float() would take "512" and True
+            raise TypeError
+        value = float(x)
     except (TypeError, ValueError):
-        raise FootfallError("sample_rate must be a number", sample_rate=repr(rate)) from None
+        raise FootfallError(f"{name} must be a number", **{name: repr(x)}) from None
     if not (value > 0 and value.is_integer()):  # false for NaN and +-inf
-        raise FootfallError("sample_rate must be a positive whole number of Hz",
-                            sample_rate=rate)
+        raise FootfallError(f"{name} must be a positive whole number", **{name: x})
     return int(value)
 
 
@@ -43,7 +45,7 @@ class Waveform:
 
     def __post_init__(self):
         self.samples = _as_float_array(self.samples, "samples", 1)
-        self.sample_rate = _as_rate(self.sample_rate)
+        self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
 
     @property
     def duration(self) -> float:
@@ -62,7 +64,7 @@ class MultichannelWaveform:
 
     def __post_init__(self):
         self.samples = _as_float_array(self.samples, "samples", 2)
-        self.sample_rate = _as_rate(self.sample_rate)
+        self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
 
     @property
     def n_channels(self) -> int:
@@ -93,6 +95,8 @@ class Spectrogram:
 
     def __post_init__(self):
         self.magnitudes = _as_float_array(self.magnitudes, "magnitudes", 2)
+        self.window_len = _as_whole(self.window_len, "window_len")
+        self.hop = _as_whole(self.hop, "hop")
         if np.any(self.magnitudes < 0):
             raise FootfallError("magnitudes must be nonnegative")
         expected_bins = self.window_len // 2 + 1
@@ -102,8 +106,6 @@ class Spectrogram:
                 rows=self.magnitudes.shape[0],
                 expected=expected_bins,
             )
-        if self.hop <= 0 or self.window_len <= 0:
-            raise FootfallError("window_len and hop must be positive")
         if self.phase is not None:
             self.phase = _as_float_array(self.phase, "phase", 2)
             if self.phase.shape != self.magnitudes.shape:

@@ -35,6 +35,9 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram) -> Wavef
             signal=noisy.sample_rate,
             floor=noise_floor.sample_rate,
         )
+    if noise_floor.n_frames == 0:
+        raise FootfallError("noise floor has no frames to estimate the noise from",
+                            noise_floor_shape=tuple(noise_floor.magnitudes.shape))
     window_len, hop = noise_floor.window_len, noise_floor.hop
     spec, offset = analyze_padded(noisy, window_len, hop)
     power = spec.magnitudes**2  # (n_bins, n_frames)

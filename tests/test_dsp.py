@@ -4,6 +4,7 @@ import pytest
 from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
 from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
+from footfall.types import Spectrogram
 
 
 def _noise_wave(n=8192, sr=16000, seed=0):
@@ -144,7 +145,8 @@ def test_spectrogram_phase_required_for_istft():
         istft(spec)
 
 
-@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 16000.7, 0.5, 0, None])
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 16000.7, 0.5, 0, None,
+                                  pytest.param("16000", id="str-16000"), True])
 @pytest.mark.parametrize("make, samples", [(Waveform, np.zeros(4)),
                                            (MultichannelWaveform, np.zeros((2, 4)))])
 def test_sample_rate_must_be_a_positive_whole_number(make, samples, rate):
@@ -154,3 +156,34 @@ def test_sample_rate_must_be_a_positive_whole_number(make, samples, rate):
     for whole in (48000.0, np.int64(16000)):
         kept = make(samples, whole).sample_rate
         assert kept == int(whole) and type(kept) is int
+
+
+def _sizes_through(entry, window_len, hop):
+    """The output of one entry point given these window and hop sizes, as an array."""
+    w = _noise_wave(2048)
+    if entry == "stft":
+        return stft(w, window_len, hop).magnitudes
+    if entry == "analyze_padded":
+        return analyze_padded(w, window_len, hop)[0].magnitudes
+    if entry == "Spectrogram":
+        spec = Spectrogram(np.ones((257, 3)), window_len, hop, 16000)
+        assert type(spec.window_len) is int and type(spec.hop) is int
+        return spec.magnitudes
+    spec = stft(w, 512, 256)
+    spec.window_len, spec.hop = window_len, hop
+    return istft(spec).samples
+
+
+@pytest.mark.parametrize("name, value", [("hop", 256.5), ("hop", float("nan")), ("hop", None),
+                                         ("hop", "256"), ("window_len", 512.5),
+                                         ("window_len", 0), ("window_len", True)],
+                         ids=["hop-256.5", "hop-nan", "hop-None", "hop-str", "window_len-512.5",
+                              "window_len-0", "window_len-True"])
+@pytest.mark.parametrize("entry", ["stft", "analyze_padded", "istft", "Spectrogram"])
+def test_window_and_hop_must_be_positive_whole_numbers(entry, name, value):
+    sizes = {"window_len": 512, "hop": 256}
+    with pytest.raises(FootfallError) as err:
+        _sizes_through(entry, **{**sizes, name: value})
+    assert name in err.value.details and name in err.value.message
+    # a whole float is the same size as the int
+    assert np.array_equal(_sizes_through(entry, 512.0, 256.0), _sizes_through(entry, 512, 256))

@@ -52,7 +52,7 @@ def test_forward_outputs_are_distributions():
     net = IdNet(4, 3, seed=0)
     rng = np.random.default_rng(1)
     patches = rng.random((5, 32, 16))
-    f, pu, pd = forward(net, patches, "eval")
+    f, pu, pd = forward(net, patches)
     assert pu.shape == (5, 4) and pd.shape == (5, 3)
     assert np.abs(pu.sum(axis=1) - 1.0).max() < 1e-6
     assert np.abs(pd.sum(axis=1) - 1.0).max() < 1e-6
@@ -62,8 +62,8 @@ def test_forward_outputs_are_distributions():
 def test_eval_forward_is_bitwise_deterministic():
     net = IdNet(3, 2, seed=0)
     patch = np.random.default_rng(2).random((32, 16))
-    _, a, _ = forward(net, patch, "eval")
-    _, b, _ = forward(net, patch, "eval")
+    _, a, _ = forward(net, patch)
+    _, b, _ = forward(net, patch)
     assert np.array_equal(a, b)
 
 
@@ -73,8 +73,6 @@ def test_forward_rejects_bad_patches():
         forward(net, np.ones((16, 16)))
     with pytest.raises(FootfallError):
         forward(net, -np.ones((32, 16)))
-    with pytest.raises(FootfallError):
-        forward(net, np.ones((32, 16)), mode="predict")
 
 
 def test_identity_loss_closed_forms():
@@ -209,7 +207,7 @@ def test_identify_never_invents_an_id(trained):
     rng = np.random.default_rng(21)
     for _ in range(10):
         patches = rng.random((5, 32, 16))
-        _, pu, _ = forward(trained.net, patches, "eval")
+        _, pu, _ = forward(trained.net, patches)
         votes = set(pu.argmax(axis=1))
         user, _ = identify(trained.net, list(patches), "3-of-5")
         assert user in votes
@@ -257,8 +255,8 @@ def test_checkpoint_roundtrip(tmp_path, trained):
         trained.net, ds.x, ds.users)
     assert np.array_equal(centers, trained.centers)
     patch = np.random.default_rng(0).random((32, 16))
-    _, a, _ = forward(trained.net, patch, "eval")
-    _, b, _ = forward(net, patch, "eval")
+    _, a, _ = forward(trained.net, patch)
+    _, b, _ = forward(net, patch)
     assert np.array_equal(a, b)
 
 

@@ -14,7 +14,6 @@ from footfall.footsteps import FootstepPersona
 from footfall.interferers import babble, pink_noise
 from footfall.nmf import (
     NmfModel,
-    comb_activations,
     is_divergence,
     nmf_fit,
     nmf_separate,
@@ -71,6 +70,12 @@ def _random_power(q=48, p=160, seed=5):
     return np.random.default_rng(seed).uniform(0.05, 1.0, size=(q, p))
 
 
+def _comb(power):
+    """onset_comb's footstep start for power; random power has no clear
+    impact, so it opens every frame."""
+    return onset_comb(power, 20.0, np.random.default_rng(0))
+
+
 @pytest.fixture(scope="module", params=[16000, 48000, 44100])
 def babble_mix(request):
     """A 0 dB babble mixture at 16, 48 and 44.1 kHz."""
@@ -98,13 +103,13 @@ def _count_template_fits(monkeypatch):
 
 
 def _branch_start(power, period, branch):
-    """nmf_fit arguments of one branch: blind, or voice templates pinned."""
-    if branch == "blind":
-        return {}
+    """nmf_fit starts of one branch: blind, or voice templates pinned."""
     rng = np.random.default_rng(3)
-    quiet = step_free_frames(power)
-    return {"voice_w": voice_templates(power[:, quiet], rng=rng),
-            "foot_h": onset_comb(power, period, rng)}
+    start = {}
+    if branch == "pinned":
+        start["voice_w"] = voice_templates(power[:, step_free_frames(power)], rng=rng)
+    start["foot_h"] = onset_comb(power, period, rng)
+    return start
 
 
 def _sweep_counts(monkeypatch):
@@ -151,33 +156,34 @@ class _InlineExecutor:
 
 
 @pytest.fixture(scope="module")
-def pinned_16k():
-    """Power, comb period and pinned start of the 16 kHz babble mixture."""
+def babble_16k():
+    """Power of the 16 kHz babble mixture and its nmf_fit starts per branch."""
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0)
     power = _power(mix)
     period = FS / 256 / PACE
-    return power, period, _branch_start(power, period, "pinned")
+    return power, {branch: _branch_start(power, period, branch)
+                   for branch in ("blind", "pinned")}
 
 
-def test_converged_fit_stops_after_its_first_small_decrease(pinned_16k):
-    power, period, start = pinned_16k
-    _, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+def test_converged_fit_stops_after_its_first_small_decrease(babble_16k):
+    power, starts = babble_16k
+    _, track = nmf_fit(power, rng=np.random.default_rng(3), **starts["pinned"])
     assert len(track) < nmf.ITERS + 1
     decrease = track[:-1] - track[1:]
     assert decrease[-1] <= nmf._TOL * track[-2]
     assert np.all(decrease[:-1] > nmf._TOL * track[:-2])
 
 
-def test_unconverged_template_fit_runs_every_sweep(monkeypatch, pinned_16k):
-    power = pinned_16k[0]
+def test_unconverged_template_fit_runs_every_sweep(monkeypatch, babble_16k):
+    power = babble_16k[0]
     counts = _sweep_counts(monkeypatch)
     voice_templates(power[:, step_free_frames(power)], rng=np.random.default_rng(3))
     assert counts == [nmf.ITERS]
 
 
-def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(pinned_16k):
-    power, period, start = pinned_16k
-    (m1, t1), (m2, t2) = (nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(babble_16k):
+    power, starts = babble_16k
+    (m1, t1), (m2, t2) = (nmf_fit(power, rng=np.random.default_rng(3), **starts["pinned"])
                           for _ in range(2))
     assert len(t1) == len(t2) < nmf.ITERS + 1
     assert np.array_equal(t1, t2)
@@ -185,9 +191,9 @@ def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(pinned_16k):
 
 
 @pytest.mark.parametrize("branch", ["blind", "pinned"])
-def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, pinned_16k, branch):
-    power, period, start = pinned_16k
-    start = start if branch == "pinned" else {}
+def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, babble_16k, branch):
+    power, starts = babble_16k
+    start = starts[branch]
     ran_on = set()
     step = nmf._Half.step
 
@@ -197,19 +203,18 @@ def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, pinned_16k,
 
     monkeypatch.setattr(nmf._Half, "step", watched)
     before = set(threading.enumerate())
-    model, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    model, track = nmf_fit(power, rng=np.random.default_rng(3), **start)
     assert threading.current_thread() not in ran_on
     assert set(threading.enumerate()) <= before  # the pool's workers have exited
     monkeypatch.setattr(nmf, "ThreadPoolExecutor", _InlineExecutor)
-    inline, inline_track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    inline, inline_track = nmf_fit(power, rng=np.random.default_rng(3), **start)
     assert np.array_equal(track, inline_track)
     assert np.array_equal(model.w, inline.w) and np.array_equal(model.h, inline.h)
 
 
 @pytest.mark.parametrize("branch", ["blind", "pinned"])
-def test_fit_dispatches_to_the_pool_once_per_track_entry(monkeypatch, pinned_16k, branch):
-    power, period, start = pinned_16k
-    start = start if branch == "pinned" else {}
+def test_fit_dispatches_to_the_pool_once_per_track_entry(monkeypatch, babble_16k, branch):
+    power, starts = babble_16k
     maps = []
 
     class Counting(_InlineExecutor):
@@ -218,7 +223,7 @@ def test_fit_dispatches_to_the_pool_once_per_track_entry(monkeypatch, pinned_16k
             return super().map(fn, *iterables)
 
     monkeypatch.setattr(nmf, "ThreadPoolExecutor", Counting)
-    _, track = nmf_fit(power, period, rng=np.random.default_rng(3), **start)
+    _, track = nmf_fit(power, rng=np.random.default_rng(3), **starts[branch])
     assert len(maps) == len(track)
 
 
@@ -228,7 +233,7 @@ def test_concurrent_fits_match_a_lone_fit():
     power = _random_power()
 
     def fit():
-        return nmf_fit(power, 20.0, rng=np.random.default_rng(1))
+        return nmf_fit(power, _comb(power), rng=np.random.default_rng(1))
 
     lone_model, lone_track = fit()
     results = [None] * 3
@@ -258,7 +263,7 @@ def test_concurrent_fits_match_a_lone_fit():
 def test_babble_track_never_rises_and_ends_at_the_model_divergence(babble_mix, branch):
     power = _power(babble_mix)
     period = babble_mix.sample_rate / 256 / PACE
-    model, track = nmf_fit(power, period, rng=np.random.default_rng(3),
+    model, track = nmf_fit(power, rng=np.random.default_rng(3),
                            **_branch_start(power, period, branch))
     assert np.max(np.diff(track)) <= 1e-9 * max(1.0, abs(track[0]))
     # the float32 sweeps' track against the float64 divergence of the result
@@ -272,14 +277,14 @@ def test_babble_footstep_mask_does_not_depend_on_the_mixture_level(babble_mix, b
     start = _branch_start(_power(babble_mix), period, branch)
     masks = []
     for scale in (1.0, 1e-3, 1e3):
-        model, _ = nmf_fit(_power(babble_mix, scale), period,
-                           rng=np.random.default_rng(3), **start)
+        model, _ = nmf_fit(_power(babble_mix, scale), rng=np.random.default_rng(3), **start)
         masks.append(source_masks(model)[0])
     assert max(np.abs(m - masks[0]).max() for m in masks[1:]) <= 1e-4
 
 
 def test_divergence_never_rises():
-    _, track = nmf_fit(_random_power(), 20.0, rng=np.random.default_rng(1))
+    power = _random_power()
+    _, track = nmf_fit(power, _comb(power), rng=np.random.default_rng(1))
     worst = np.max(np.diff(track))
     assert worst <= 1e-9 * max(1.0, abs(track[0]))
 
@@ -289,12 +294,13 @@ def test_divergence_never_rises_with_pinned_templates():
     rng = np.random.default_rng(2)
     voice_w = rng.uniform(0.1, 1.0, size=(48, nmf.R_VOICE))
     voice_w /= voice_w.sum(axis=0, keepdims=True)
-    _, track = nmf_fit(power, 20.0, rng=rng, voice_w=voice_w)
+    _, track = nmf_fit(power, _comb(power), rng=rng, voice_w=voice_w)
     assert np.max(np.diff(track)) <= 1e-9 * max(1.0, abs(track[0]))
 
 
 def test_masks_are_complementary():
-    model, _ = nmf_fit(_random_power(), 20.0, rng=np.random.default_rng(3))
+    power = _random_power()
+    model, _ = nmf_fit(power, _comb(power), rng=np.random.default_rng(3))
     mask_foot, mask_voice = source_masks(model)
     assert np.abs(mask_foot + mask_voice - 1.0).max() < 1e-9
     assert mask_foot.min() >= 0.0 and mask_voice.min() >= 0.0
@@ -305,7 +311,7 @@ def test_masks_are_complementary():
     pytest.param(48000, 0, id="48000"),
     pytest.param(44100, 0, id="44100"),
     pytest.param(48000, 1, id="48000-length-not-a-multiple-of-3"),
-    pytest.param(8000, 0, id="8000-not-resampled"),
+    pytest.param(8000, 0, id="8000"),
 ])
 def test_stems_sum_to_the_mixture(fs, drop):
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=fs)
@@ -319,7 +325,6 @@ def test_stems_sum_to_the_mixture(fs, drop):
 @pytest.mark.parametrize("duration, fs", [
     pytest.param(4.0, 16000, id="4.0"),  # blind branch
     pytest.param(8.0, 16000, id="8.0"),  # pinned-template branch
-    # 8 kHz: blind at both lengths, too few step-free frames of 64 ms
     pytest.param(4.0, 8000, id="4.0-8000"),
     pytest.param(8.0, 8000, id="8.0-8000"),
     pytest.param(4.0, 44100, id="4.0-44100"),
@@ -359,9 +364,9 @@ def test_blind_fit_over_a_weak_voice_is_not_capped(monkeypatch, fs):
 def test_stationarity_gap_reads_euler_gamma_on_noise_at_any_level():
     noise = Waveform(pink_noise(4 * FS, np.random.default_rng(0)), FS)
     power = stft(noise, 512, 256).magnitudes**2
-    gap = nmf._stationarity_gap(power, FS)
+    gap = nmf._stationarity_gap(power)
     assert abs(gap - np.euler_gamma) < 0.05
-    assert nmf._stationarity_gap(1e-4 * power, FS) == pytest.approx(gap, abs=1e-9)
+    assert nmf._stationarity_gap(1e-4 * power) == pytest.approx(gap, abs=1e-9)
     assert gap <= nmf._STATIONARY_GAP
 
 
@@ -374,10 +379,15 @@ def test_capture_without_step_free_frames_separates_without_a_warning():
     assert rms(foot.samples + voice.samples - mix.samples) < 1e-6
 
 
-@pytest.mark.parametrize("seed, template_fits", [(3, 0), (4, 2)], ids=["blind", "pinned"])
-def test_interference_at_equal_level_is_pushed_down_10db(monkeypatch, seed, template_fits):
+@pytest.mark.parametrize("seed, fs, template_fits", [
+    pytest.param(3, FS, 0, id="blind"),
+    pytest.param(4, FS, 2, id="pinned"),
+    # separated on 16 kHz frames, the 6-frame guard leaves step-free frames
+    pytest.param(0, 8000, 2, id="pinned-8000"),
+])
+def test_interference_at_equal_level_is_pushed_down_10db(monkeypatch, seed, fs, template_fits):
     calls = _count_template_fits(monkeypatch)
-    mix, foot_clean, voice_clean = _mix_parts(seed=seed, sir_db=0.0)
+    mix, foot_clean, voice_clean = _mix_parts(seed=seed, sir_db=0.0, fs=fs)
     foot, _ = nmf_separate(mix, PACE, rng=np.random.default_rng(seed))
     assert len(calls) == template_fits
     gain = sir(foot, foot_clean, [voice_clean]) - sir(mix, foot_clean, [voice_clean])
@@ -396,7 +406,8 @@ def test_zero_voice_mixture_passes_through():
 
 def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatch):
     # no interference at all, and steps out of phase with frame 0: a fit
-    # started from the free-phase comb leaves them in the voice stem
+    # started from bumps at period multiples of frame 0 left them in the
+    # voice stem
     calls = _count_template_fits(monkeypatch)
     walker = natural_walk(_persona(), [2.0, -3.0], [2.0, 3.0], np.random.default_rng(0),
                           start_time=0.5)
@@ -410,7 +421,7 @@ def test_blind_branch_keeps_a_late_starting_walk_in_the_footstep_stem(monkeypatc
     assert rms(foot) >= 0.8 * rms(mix)
 
 
-WALK_RATES = (16000, 44100, 48000)
+WALK_RATES = (8000, 16000, 44100, 48000)
 
 
 def _wood_walk(seed, fs, snr_db):
@@ -455,8 +466,8 @@ def test_capped_blind_fit_loses_at_most_half_a_db(monkeypatch, snr_db):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_footstep_stem_quality_does_not_depend_on_the_capture_rate(wood_walks, seed):
-    # separation runs at 16 kHz, so its frames, guards and onset tail span
-    # the same time at every capture rate
+    # every capture is separated at 16 kHz, so its frames, guards and onset
+    # tail span the same time at every capture rate
     quality = {}
     for fs in WALK_RATES:
         mix, clean = wood_walks[seed, fs]
@@ -476,22 +487,11 @@ def test_fast_captures_are_fitted_on_the_16k_frames(monkeypatch, wood_walks):
         assert [p.shape[1] for p in inputs] == [frames] * len(inputs), fs
 
 
-def test_comb_activations_bump_once_per_period():
-    rows = comb_activations(200, 25.0, np.random.default_rng(0))
-    assert rows.shape == (nmf.R_FOOTSTEP, 200)
-    # bump tops at period multiples, floor in between (first component)
-    assert rows[0, ::25].min() > 0.8
-    assert rows[0, 12::25].max() < 0.1
-
-
-@pytest.mark.parametrize("comb, period", [
-    (lambda p, rng: comb_activations(200, p, rng), float("nan")),
-    (lambda p, rng: comb_activations(200, p, rng), float("inf")),
-    (lambda p, rng: onset_comb(_random_power(), p, rng), float("nan")),
-], ids=["comb_activations-nan", "comb_activations-inf", "onset_comb-nan"])
-def test_combs_reject_a_non_finite_period(comb, period):
+@pytest.mark.parametrize("period", [float("nan"), float("inf")],
+                         ids=["onset_comb-nan", "onset_comb-inf"])
+def test_combs_reject_a_non_finite_period(period):
     with pytest.raises(FootfallError) as err:
-        comb(period, np.random.default_rng(0))
+        onset_comb(_random_power(), period, np.random.default_rng(0))
     assert "period_frames" in err.value.details
 
 
@@ -521,6 +521,13 @@ def test_onset_comb_opens_windows_only_at_impacts():
     assert np.all(h[:, 70:90] == 0.0)
 
 
+def test_onset_comb_without_a_clear_impact_opens_every_frame():
+    power = _random_power()  # no frame reaches twice the 40% quantile
+    h = onset_comb(power, 20.0, np.random.default_rng(0))
+    jitter = np.random.default_rng(0).uniform(0.9, 1.1, size=h.shape)
+    assert np.array_equal(h, jitter)
+
+
 def test_model_validation_rejects_bad_state():
     w = np.full((8, 3), 1.0 / 8.0)
     h = np.ones((3, 5))
@@ -536,17 +543,18 @@ def test_model_validation_rejects_bad_state():
 @pytest.mark.parametrize("iters", [0, 2.5, None])
 def test_fit_rejects_a_bad_sweep_cap(iters):
     with pytest.raises(FootfallError) as err:
-        nmf_fit(_random_power(), 20.0, iters=iters)
+        nmf_fit(_random_power(), _comb(_random_power()), iters=iters)
     assert err.value.details == {"iters": iters}
 
 
 def test_fit_rejects_bad_inputs():
     with pytest.raises(FootfallError):
-        nmf_fit(np.zeros((8, 10)), 20.0)
+        nmf_fit(np.zeros((8, 10)), np.ones((nmf.R_FOOTSTEP, 10)))
     bad = _random_power()
+    foot_h = _comb(bad)
     bad[3, 4] = np.nan
     with pytest.raises(FootfallError):
-        nmf_fit(bad, 20.0)
+        nmf_fit(bad, foot_h)
 
 
 def _noise_mix():
@@ -573,15 +581,14 @@ def test_diverged_fit_reports_the_iteration():
     voice_w /= voice_w.sum(axis=0, keepdims=True)
     foot_h[:] = 0.0  # ... and the footstep share is silent, so v is 0 there
     with pytest.raises(FootfallError) as err:
-        nmf_fit(_random_power(), 20.0, rng=np.random.default_rng(1),
-                voice_w=voice_w, foot_h=foot_h)
+        nmf_fit(_random_power(), foot_h, rng=np.random.default_rng(1), voice_w=voice_w)
     assert err.value.details == {"iteration": 1}
 
 
 def test_huge_dynamic_range_fits_with_a_track_that_never_rises():
     power = np.random.default_rng(0).uniform(0.5, 1.0, size=(64, 100))
     power[::2] *= 1e300
-    _, track = nmf_fit(power, 20.0, rng=np.random.default_rng(1))
+    _, track = nmf_fit(power, _comb(power), rng=np.random.default_rng(1))
     assert np.all(np.isfinite(track))
     assert np.max(np.diff(track)) <= 1e-9 * max(1.0, abs(track[0]))
 
@@ -599,7 +606,7 @@ def test_fit_rejects_bad_pinned_starts_by_name(monkeypatch, name, entry):
     else:
         start[name][3, 4] = entry
     with pytest.raises(FootfallError) as err:
-        nmf_fit(_random_power(), 20.0, **start)
+        nmf_fit(_random_power(), **start)
     assert err.value.details["argument"] == name
     assert name in err.value.message
 
@@ -631,6 +638,28 @@ def test_separation_does_not_depend_on_the_mixture_level(monkeypatch, fs, seed, 
 
 
 def test_separate_rejects_a_silent_mixture():
-    with pytest.raises(FootfallError) as err:
-        nmf_separate(Waveform(np.zeros(FS), FS), PACE)
-    assert err.value.details == {"peak": 0.0}
+    for fs in (8000, FS, 48000):
+        with pytest.raises(FootfallError) as err:
+            nmf_separate(Waveform(np.zeros(fs), fs), PACE)
+        assert err.value.details == {"peak": 0.0}, fs
+
+
+def _odd_input(kind, fs):
+    """A degenerate capture at fs: constant, hard-clipped or one sample long."""
+    if kind == "dc":
+        return np.full(fs, 0.5)
+    if kind == "clipped":
+        mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=4.0, fs=fs)
+        top = 0.1 * np.abs(mix.samples).max()
+        return np.clip(mix.samples, -top, top)
+    return np.array([0.7])
+
+
+@pytest.mark.parametrize("fs", [8000, 16000, 48000])
+@pytest.mark.parametrize("kind", ["dc", "clipped", "single-sample"])
+def test_degenerate_captures_separate_into_stems_that_sum_to_them(kind, fs):
+    mix = Waveform(_odd_input(kind, fs), fs)
+    foot, voice = nmf_separate(mix, PACE, rng=np.random.default_rng(0))
+    assert foot.samples.size == voice.samples.size == mix.samples.size
+    assert np.all(np.isfinite(foot.samples)) and np.all(np.isfinite(voice.samples))
+    assert rms(foot.samples + voice.samples - mix.samples) < 1e-6

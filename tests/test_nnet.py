@@ -55,7 +55,7 @@ def _toy_batch(n_domains, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((4, 32, 16))
     users = np.array([0, 1, 0, 1])
-    domains = np.array([0, 1, 1, 0]) if n_domains > 1 else None
+    domains = np.array([0, 1, 1, 0]) if n_domains > 1 else np.zeros(4, dtype=int)
     return IdNet(2, n_domains, seed=seed), x, users, domains
 
 
@@ -160,11 +160,11 @@ def test_batchnorm_gradients_in_both_modes():
 
 
 def test_dropout_gradient_with_held_mask():
-    net, x, users, _ = _toy_batch(n_domains=1, seed=9)
+    net, x, users, domains = _toy_batch(n_domains=1, seed=9)
     centers = np.zeros((2, FEATURE_DIM))
 
     def step(seed):
-        return _train_step(net, x, users, None, centers, 0.0, 0.0,
+        return _train_step(net, x, users, domains, centers, 0.0, 0.0,
                            np.random.default_rng(seed))
 
     _, grads, _ = step(42)
@@ -193,12 +193,12 @@ def test_cross_entropy_gradient_and_uniform_value():
 
 
 def test_center_loss_gradient_is_feature_minus_center():
-    net, x, users, _ = _toy_batch(n_domains=1, seed=11)
+    net, x, users, domains = _toy_batch(n_domains=1, seed=11)
     centers = np.random.default_rng(11).standard_normal((2, FEATURE_DIM))
     lam, m = 0.7, x.shape[0]
 
     def step(lam):
-        return _train_step(net, x, users, None, centers, lam, 0.0,
+        return _train_step(net, x, users, domains, centers, lam, 0.0,
                            np.random.default_rng(5))
 
     (_, l_c, _), with_center, f = step(lam)
@@ -241,3 +241,22 @@ def test_gradient_reversal_identity():
     _assert_grads_match(lambda: step(0.0)[0][2],
                         (net.p["project_b"], plain["project_b"] - full["project_b"]),
                         (net.p["dom_out_b"], full["dom_out_b"]), eps=1e-7)
+
+
+def test_single_domain_gives_no_adversarial_gradient():
+    # the domain softmax has one class: L_delta is 0 and so is its gradient,
+    # so the reversal strength changes nothing
+    net, x, users, domains = _toy_batch(n_domains=1, seed=15)
+    centers = np.zeros((2, FEATURE_DIM))
+
+    def step(lam_grl):
+        return _train_step(net, x, users, domains, centers, 0.7, lam_grl,
+                           np.random.default_rng(4))
+
+    (_, _, l_d), plain, _ = step(0.0)
+    (_, _, l_d_rev), reversed_, _ = step(0.7)
+    assert l_d == 0.0 and l_d_rev == 0.0
+    for name in ("dom_hidden_w", "dom_hidden_b", "dom_out_w", "dom_out_b"):
+        assert not np.any(plain[name]), name
+    for name in net.p:
+        assert np.array_equal(plain[name], reversed_[name]), name

@@ -8,6 +8,7 @@ from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona
 from footfall.interferers import babble
 from footfall.scenes import MicArray, Scene, Trajectory, Walker, render_scene
+from footfall.types import Spectrogram
 from footfall.wiener import wiener_residual_suppress
 
 FS = 16000
@@ -90,3 +91,12 @@ def test_sample_rate_mismatch_is_rejected():
     with pytest.raises(FootfallError):
         wiener_residual_suppress(Waveform(np.zeros(FS), 2 * FS), profile)
 
+
+
+def test_noise_floor_without_frames_is_rejected():
+    empty = Spectrogram(magnitudes=np.zeros((257, 0)), window_len=512, hop=256,
+                        sample_rate=FS)
+    with pytest.raises(FootfallError) as err:
+        wiener_residual_suppress(Waveform(np.ones(FS), FS), empty)
+    assert "noise floor" in err.value.message
+    assert err.value.details == {"noise_floor_shape": (257, 0)}
