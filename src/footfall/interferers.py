@@ -5,12 +5,19 @@ target signal-to-noise ratio. Babble is a harmonic-plus-noise chorus driven
 by seeded pitch contours. Pitch stays at or above 110 Hz so the chorus never
 imitates the low resonances of a footstep, and syllable timing is drawn
 aperiodically so the chorus cannot carry a walking-pace rhythm.
+
+babble makes every random draw on the calling thread, talker by talker in a
+fixed order. A two-worker thread pool runs each talker's harmonic sum into
+a buffer that the calling thread allocated, and the talkers are added in
+order, so the chorus has the same bits on any number of cores.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,6 +29,7 @@ _BREATH_LO_HZ = 300.0
 _BREATH_LEVEL = 0.12
 _SYLLABLE_RAMP_S = 0.02
 _HARMONIC_BLOCK = 8192  # samples per Horner pass; bounds the complex temporaries
+_WORKERS = 2  # threads that run the talkers' harmonic sums
 
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,8 +87,8 @@ def _syllable_envelope(n: int, sample_rate: int, rng: np.random.Generator) -> np
     return env
 
 
-def _harmonic_sum(phase: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """sum_k sin(k * phase) / k for k = 1..n_harmonics.
+def _harmonic_sum(phase: np.ndarray, n_harmonics: int, out: np.ndarray) -> np.ndarray:
+    """sum_k sin(k * phase) / k for k = 1..n_harmonics, written into out.
 
     The imaginary part of sum_k z^k / k with z = exp(1j * phase), evaluated
     by Horner's rule one block of samples at a time. Powers of a unit z
@@ -88,7 +96,6 @@ def _harmonic_sum(phase: np.ndarray, n_harmonics: int) -> np.ndarray:
     summing np.sin(k * phase) / k once the phase has run to thousands of
     radians.
     """
-    out = np.empty(phase.size)
     for start in range(0, phase.size, _HARMONIC_BLOCK):
         z = np.exp(1j * phase[start:start + _HARMONIC_BLOCK])
         acc = np.full(z.size, 1.0 / n_harmonics, dtype=complex)
@@ -100,21 +107,30 @@ def _harmonic_sum(phase: np.ndarray, n_harmonics: int) -> np.ndarray:
     return out
 
 
-def _talker(n: int, sample_rate: int, rng: np.random.Generator,
-            lo: float, hi: float) -> np.ndarray:
+def _talker_draws(n: int, sample_rate: int, rng: np.random.Generator,
+                  lo: float, hi: float) -> tuple:
+    """One talker's random parts: (phase, harmonic count, breath, syllable envelope).
+
+    The breath is band-limited but not yet scaled to the voiced part.
+    """
     top = min(VOICE_TOP_HZ, 0.45 * sample_rate)
     f0 = _pitch_contour(n, sample_rate, rng, lo, hi)
     phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
-    voiced = _harmonic_sum(phase, max(1, int(top / np.max(f0))))
-
     breath = np.fft.rfft(rng.standard_normal(n))
     f = np.fft.rfftfreq(n, 1.0 / sample_rate)
     breath[(f < _BREATH_LO_HZ) | (f > top)] = 0.0
     breath = np.fft.irfft(breath, n)
+    return (phase, max(1, int(top / np.max(f0))), breath,
+            _syllable_envelope(n, sample_rate, rng))
+
+
+def _add_talker(x: np.ndarray, harmonics: Future, breath: np.ndarray,
+                envelope: np.ndarray):
+    """Add one talker to x: its harmonic sum plus breath scaled to it, gated."""
+    voiced = harmonics.result()
     breath *= _BREATH_LEVEL * np.sqrt(np.mean(voiced * voiced)) / max(
         np.sqrt(np.mean(breath * breath)), 1e-300)
-
-    return (voiced + breath) * _syllable_envelope(n, sample_rate, rng)
+    x += (voiced + breath) * envelope
 
 
 def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
@@ -134,9 +150,17 @@ def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
         raise FootfallError("duration is shorter than one sample",
                             duration_s=duration_s, sample_rate=sample_rate)
     x = np.zeros(n)
-    for _ in range(n_talkers):
-        x += _talker(n, sample_rate, rng, pitch_lo, pitch_hi)
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        talkers = deque()
+        for _ in range(n_talkers):  # every draw on this thread, in a fixed order
+            phase, n_harmonics, breath, envelope = _talker_draws(
+                n, sample_rate, rng, pitch_lo, pitch_hi)
+            talkers.append((pool.submit(_harmonic_sum, phase, n_harmonics, np.empty(n)),
+                            breath, envelope))
+        while talkers:  # in order; a talker's arrays are freed once it is added
+            _add_talker(x, *talkers.popleft())
     level = np.sqrt(np.mean(x * x))
     if level < 1e-12:
         raise FootfallError("babble came out silent; duration too short for a syllable")
-    return Waveform(x / level, sample_rate)
+    x /= level
+    return Waveform(x, sample_rate)

@@ -155,7 +155,7 @@ def onset_comb(power: np.ndarray, period_frames: float,
     want = int(n / period_frames) + 2
     onsets: list[int] = []
     for k in np.argsort(energy)[::-1]:
-        if energy[k] < 2.0 * floor or len(onsets) >= want:
+        if energy[k] <= 2.0 * floor or len(onsets) >= want:  # a flat power opens none
             break
         if all(abs(k - o) >= min_gap for o in onsets):
             onsets.append(int(k))

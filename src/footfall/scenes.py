@@ -11,12 +11,19 @@ foot position (centerline plus an alternating lateral stance offset) and
 reaches every microphone with its own range: the air path arrives after
 range/c_air scaled by 1/range, the structure path is dispersed by the floor.
 Voice clips and replayed recordings are static air-only point sources.
+
+The walkers render on a two-worker thread pool, each into a stem that the
+calling thread allocated, while the calling thread builds the voice and
+noise stems. Each walker draws only from its own stream, and the stems are
+added in walker order, so a render gives the same bits on any number of
+cores.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +36,7 @@ from .types import MultichannelWaveform, Waveform
 
 SCENE_BOUND_M = 50.0
 NOISE_KINDS = ("white", "pink")
+_WORKERS = 2  # threads that render the walkers
 
 
 def _stream(seed: int, tag: str) -> np.random.Generator:
@@ -318,6 +326,22 @@ def _energy(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
+def _air_and_noise(scene: Scene, n: int) -> tuple:
+    """The unscaled voice stem and ambient noise stem; None for each one absent."""
+    n_mics = scene.array.n_mics
+    voice_stem = None
+    if scene.voices:
+        voice_stem = np.zeros((n_mics, n))
+        for source in scene.voices:
+            _render_air_source(source, scene, voice_stem)
+    noise_stem = None
+    if scene.noise_kind is not None:
+        rng = _stream(scene.seed, "ambient:" + scene.noise_kind)
+        make = white_noise if scene.noise_kind == "white" else pink_noise
+        noise_stem = np.stack([make(n, rng) for _ in range(n_mics)])
+    return voice_stem, noise_stem
+
+
 def render_scene(scene: Scene) -> tuple:
     """Render to (capture, ground_truth).
 
@@ -333,22 +357,18 @@ def render_scene(scene: Scene) -> tuple:
     n = int(round(scene.duration_s * fs))
     n_mics = scene.array.n_mics
 
-    stems = {}
-    steps = []
-    for walker in scene.walkers:
-        stem = np.zeros((n_mics, n))
-        steps.extend(_render_walker(walker, scene, stem))
-        stems[walker.persona.name] = stem
+    stems = {w.persona.name: np.zeros((n_mics, n)) for w in scene.walkers}
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        rendered = pool.map(lambda w: _render_walker(w, scene, stems[w.persona.name]),
+                            scene.walkers)
+        try:
+            voice_stem, noise_stem = _air_and_noise(scene, n)
+        finally:  # a walker's error comes first, as when walkers rendered first
+            steps = [s for truths in rendered for s in truths]
     steps.sort(key=lambda s: s.time_s)
     foot_mix = np.zeros((n_mics, n))
     for stem in stems.values():
         foot_mix += stem
-
-    voice_stem = None
-    if scene.voices:
-        voice_stem = np.zeros((n_mics, n))
-        for source in scene.voices:
-            _render_air_source(source, scene, voice_stem)
 
     foot_e = _energy(foot_mix)
     voice_e = _energy(voice_stem) if voice_stem is not None else 0.0
@@ -360,16 +380,11 @@ def render_scene(scene: Scene) -> tuple:
         achieved_sir = 10.0 * np.log10(foot_e / voice_e)
 
     reference_e = foot_e if foot_e > 0 else voice_e
-    noise_stem = None
     achieved_snr = None
-    if scene.noise_kind is not None:
-        rng = _stream(scene.seed, "ambient:" + scene.noise_kind)
-        make = white_noise if scene.noise_kind == "white" else pink_noise
-        noise_stem = np.stack([make(n, rng) for _ in range(n_mics)])
-        if scene.target_snr_db is not None and reference_e > 0:
-            want = 10.0 ** (scene.target_snr_db / 10.0)
-            noise_stem *= np.sqrt(reference_e / (_energy(noise_stem) * want))
-            achieved_snr = 10.0 * np.log10(reference_e / _energy(noise_stem))
+    if noise_stem is not None and scene.target_snr_db is not None and reference_e > 0:
+        want = 10.0 ** (scene.target_snr_db / 10.0)
+        noise_stem *= np.sqrt(reference_e / (_energy(noise_stem) * want))
+        achieved_snr = 10.0 * np.log10(reference_e / _energy(noise_stem))
 
     mixture = foot_mix.copy()
     if voice_stem is not None:

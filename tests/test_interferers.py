@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from footfall import interferers
 from footfall.errors import FootfallError
 from footfall.interferers import _harmonic_sum, _pitch_contour, babble, pink_noise, white_noise
 
@@ -61,8 +64,27 @@ def test_harmonic_sum_matches_a_long_double_sum(fs, n_harmonics):
     reference = np.zeros(n, dtype=np.longdouble)
     for k in range(1, n_harmonics + 1):
         reference += np.sin(k * wide) / k
-    error = np.max(np.abs(_harmonic_sum(phase, n_harmonics) - reference))
+    error = np.max(np.abs(_harmonic_sum(phase, n_harmonics, np.empty(n)) - reference))
     assert float(error) <= 1e-13
+
+
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_babble_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, run_inline, fs):
+    ran_on = []
+    harmonic_sum = interferers._harmonic_sum
+
+    def watched(*args):
+        ran_on.append(threading.current_thread())
+        return harmonic_sum(*args)
+
+    monkeypatch.setattr(interferers, "_harmonic_sum", watched)
+    before = set(threading.enumerate())
+    pooled = babble(2.0, fs, np.random.default_rng(5)).samples
+    assert len(ran_on) == 4 and threading.current_thread() not in ran_on
+    assert set(threading.enumerate()) <= before  # the pool's workers have exited
+    run_inline(interferers)
+    inline = babble(2.0, fs, np.random.default_rng(5)).samples
+    assert np.array_equal(pooled, inline)
 
 
 def test_babble_carries_no_energy_below_the_pitch_floor():

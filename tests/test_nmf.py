@@ -528,6 +528,15 @@ def test_onset_comb_without_a_clear_impact_opens_every_frame():
     assert np.array_equal(h, jitter)
 
 
+@pytest.mark.parametrize("power", [np.zeros((4, 100)), np.full((4, 100), 0.5)],
+                         ids=["zeros", "constant"])
+def test_onset_comb_on_a_flat_power_opens_every_frame(power):
+    # no frame stands above twice the 40% quantile, so no tie picks an onset
+    h = onset_comb(power, 20.0, np.random.default_rng(0))
+    jitter = np.random.default_rng(0).uniform(0.9, 1.1, size=h.shape)
+    assert np.array_equal(h, jitter)
+
+
 def test_model_validation_rejects_bad_state():
     w = np.full((8, 3), 1.0 / 8.0)
     h = np.ones((3, 5))

@@ -1,8 +1,12 @@
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from footfall import scenes
 from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona, synth_footstep
@@ -88,6 +92,112 @@ def test_mixture_is_sum_of_single_footsteps(fs):
             manual[c, k:k + seg.size] += seg
     rms = np.sqrt(np.mean((out.samples - manual) ** 2))
     assert rms <= 1e-6
+
+
+def _ring(n_mics):
+    """n_mics microphones on a 5 cm circle; one sits at its center."""
+    if n_mics == 1:
+        return MicArray(np.zeros((1, 2)))
+    angles = 2.0 * np.pi * np.arange(n_mics) / n_mics
+    return MicArray(0.05 * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+def _busy_scene(fs=FS, n_mics=4):
+    """Two walkers, babble and pink noise: every part of a render at once."""
+    wa = Walker(_persona("ada"), _line([1.0, 1.0], [1.0, 4.0], 3.5))
+    wb = Walker(_persona("bo", force=1.3), _line([2.5, 0.5], [0.5, 2.5], 3.5))
+    voice = AirSource(babble(4.0, fs, np.random.default_rng(9)), [3.0, 0.5])
+    return Scene(floor=CONCRETE_SLAB, array=_ring(n_mics), walkers=(wa, wb), voices=(voice,),
+                 noise_kind="pink", target_snr_db=20.0, target_sir_db=0.0, duration_s=4.0,
+                 sample_rate=fs, seed=7)
+
+
+def _same_render(a, b):
+    (out_a, truth_a), (out_b, truth_b) = a, b
+    assert np.array_equal(out_a.samples, out_b.samples)
+    assert truth_a.steps == truth_b.steps
+    for name, stem in truth_a.stems.items():
+        assert np.array_equal(stem, truth_b.stems[name])
+    assert np.array_equal(truth_a.voice_stem, truth_b.voice_stem)
+    assert np.array_equal(truth_a.noise_stem, truth_b.noise_stem)
+
+
+@pytest.mark.parametrize("n_mics", [1, 2, 4, 8])
+def test_render_invariants_hold_for_1_to_8_microphones(n_mics):
+    scene = _busy_scene(n_mics=n_mics)
+    out, truth = render_scene(scene)
+    assert out.samples.shape == (n_mics, 4 * FS)
+    total = truth.footstep_mix() + truth.voice_stem + truth.noise_stem
+    assert np.max(np.abs(out.samples - total)) <= 1e-9 * np.max(np.abs(out.samples))
+    _same_render((out, truth), render_scene(scene))
+    feet = replace(scene, voices=(), noise_kind=None, target_snr_db=None, target_sir_db=None)
+    joint, _ = render_scene(feet)
+    solo_a, _ = render_scene(replace(feet, walkers=feet.walkers[:1]))
+    solo_b, _ = render_scene(replace(feet, walkers=feet.walkers[1:]))
+    stacked = solo_a.samples + solo_b.samples
+    assert np.sqrt(np.mean((joint.samples - stacked) ** 2)) <= 1e-6
+    assert np.array_equal(truth.stems["ada"], solo_a.samples)
+
+
+@pytest.mark.parametrize("fs", [16000, 48000])
+def test_render_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, run_inline, fs):
+    scene = _busy_scene(fs)
+    ran_on = []
+    render_walker = scenes._render_walker
+
+    def watched(*args):
+        ran_on.append(threading.current_thread())
+        return render_walker(*args)
+
+    monkeypatch.setattr(scenes, "_render_walker", watched)
+    before = set(threading.enumerate())
+    pooled = render_scene(scene)
+    assert len(ran_on) == 2 and threading.current_thread() not in ran_on
+    assert set(threading.enumerate()) <= before  # the pool's workers have exited
+    run_inline(scenes)
+    _same_render(pooled, render_scene(scene))
+
+
+def test_concurrent_renders_match_a_lone_render():
+    # three renders at once put six pool workers on the cores, and the short
+    # switch interval interleaves them far more often than by default
+    scene = _busy_scene()
+    lone = render_scene(scene)
+    results = [None] * 3
+
+    def run(k):
+        results[k] = render_scene(scene)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert set(threading.enumerate()) <= before
+    for result in results:
+        assert result is not None
+        _same_render(result, lone)
+
+
+def test_a_walker_error_on_the_pool_reaches_the_caller():
+    shrill = FootstepPersona("cy", 1.0, 0.002, ((9000.0, 200.0, 1.0),))  # above 8 kHz Nyquist
+    walkers = (Walker(_persona(), _line([1.0, 1.0], [1.0, 4.0], 3.5)),
+               Walker(shrill, _line([2.5, 0.5], [0.5, 2.5], 3.5)))
+    with pytest.raises(FootfallError) as err:
+        render_scene(_walk_scene(walkers=walkers))
+    assert err.value.details["persona"] == "cy"
+    # it comes ahead of an error that the calling thread raises meanwhile
+    voice = AirSource(Waveform(np.zeros(100) + 0.1, 8000), [1.0, 1.0])
+    with pytest.raises(FootfallError) as err:
+        render_scene(_walk_scene(walkers=walkers, voices=(voice,)))
+    assert err.value.details["persona"] == "cy"
 
 
 @pytest.mark.parametrize("target", [-5.0, 0.0, 7.0])
