@@ -1,4 +1,10 @@
-"""Short-time analysis primitives: STFT, inverse STFT, RMS level."""
+"""Short-time analysis primitives: STFT, inverse STFT, RMS level.
+
+A spectrogram keeps the complex STFT itself next to its magnitudes, and
+istft inverts those complex values directly: a filter scales them (and the
+magnitudes) by its real gain in place and inverts, with no phase round trip
+and no masked copy.
+"""
 
 from __future__ import annotations
 
@@ -56,10 +62,26 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 
 def ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
-    """Sum of squared analysis windows overlapped at the given hop."""
-    _, hop = _check_hop(window.size, hop)
+    """Sum of squared analysis windows overlapped at the given hop.
+
+    Away from the first and last window_len samples, every block of one hop
+    holds the same sum. So the blocks are summed for at most
+    ceil(window_len / hop) frames, chunk by chunk in _overlap_add's order,
+    and the full block is repeated: the same bits as overlap-adding
+    n_frames windows.
+    """
+    window_len, hop = _check_hop(window.size, hop)
+    n_frames = _as_whole(n_frames, "n_frames")
     wsq = window * window
-    return _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), hop)
+    k = -(-window_len // hop)
+    chunks = np.pad(wsq, (0, k * hop - window_len)).reshape(k, hop)
+    m = min(n_frames, k)  # frames enough for every distinct block
+    acc = np.zeros((m + k - 1, hop))
+    for c in range(k - 1, -1, -1):
+        acc[c : c + m] += chunks[c]
+    reps = np.ones(m + k - 1, dtype=np.intp)
+    reps[k - 1] += n_frames - m  # block k - 1 is the full sum when n_frames >= k
+    return np.repeat(acc, reps, axis=0).reshape(-1)[: (n_frames - 1) * hop + window_len]
 
 
 def _check_hop(window_len, hop) -> tuple[int, int]:
@@ -75,7 +97,7 @@ def _check_hop(window_len, hop) -> tuple[int, int]:
 
 
 def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
-    """Magnitude-and-phase STFT with a periodic Hann window.
+    """Complex STFT with a periodic Hann window, kept with its magnitudes.
 
     Frames lie fully inside the signal (no padding), so shifting the input by
     one hop shifts the frame axis by exactly one column.
@@ -86,7 +108,7 @@ def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
     z = np.fft.rfft(frames * window, axis=1).T  # (n_bins, n_frames)
     return Spectrogram(
         magnitudes=np.abs(z),
-        phase=np.angle(z),
+        values=z,
         window_len=window_len,
         hop=hop,
         sample_rate=w.sample_rate,
@@ -102,6 +124,8 @@ def istft(spec: Spectrogram) -> Waveform:
     """
     window_len, hop = _check_hop(spec.window_len, spec.hop)  # its fields can be reassigned
     z = spec.complex_values()
+    if z.shape[1] == 0:
+        raise FootfallError("spectrogram has no frames to invert", shape=list(z.shape))
     window = hann_window(window_len)
     frames = np.fft.irfft(z.T, n=window_len, axis=1)
     n_frames = frames.shape[0]
@@ -117,8 +141,9 @@ def istft(spec: Spectrogram) -> Waveform:
         )
     frames *= window
     acc = _overlap_add(frames, hop)
-    out = np.where(den > _OLA_FLOOR * den.max(), acc / np.maximum(den, 1e-300), 0.0)
-    return Waveform(out, spec.sample_rate)
+    acc[den <= _OLA_FLOOR * den.max()] = 0.0  # no weight to divide by
+    acc /= np.maximum(den, 1e-300, out=den)
+    return Waveform(acc, spec.sample_rate)
 
 
 def narrowband_envelope(x: np.ndarray, sample_rate: int, center_hz: float, bandwidth_hz: float) -> np.ndarray:
@@ -170,6 +195,15 @@ def analyze_padded(w: Waveform, window_len: int, hop: int) -> tuple[Spectrogram,
 
 
 def synthesize_padded(spec: Spectrogram, offset: int, n_samples: int) -> Waveform:
-    """Inverse of analyze_padded: crop back to the original sample span."""
-    full = istft(spec)
-    return Waveform(full.samples[offset : offset + n_samples], spec.sample_rate)
+    """Inverse of analyze_padded: crop back to the original sample span.
+
+    offset and n_samples are whole numbers >= 0, and the span they name
+    must lie inside the inverse.
+    """
+    offset = _as_whole(offset, "offset", zero_ok=True)
+    n_samples = _as_whole(n_samples, "n_samples", zero_ok=True)
+    full = istft(spec).samples
+    if offset + n_samples > full.size:
+        raise FootfallError("sample span runs past the end of the inverse",
+                            offset=offset, n_samples=n_samples, length=int(full.size))
+    return Waveform(full[offset : offset + n_samples], spec.sample_rate)

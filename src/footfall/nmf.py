@@ -8,12 +8,13 @@ voice harmonics. The component set is split in two, and the footstep share
 starts from activations opened only at the observed impacts, one per step
 period (onset_comb), so rhythmic energy settles there while sustained speech
 lands in the rest. The footstep stem is rebuilt through a per-bin Wiener
-mask and the inverse transform; the voice stem is the mixture minus the
-footstep stem, so the two sum back to the input exactly. Every capture is
-separated at 16 kHz: it is resampled to 16 kHz on entry and its footstep
-stem back to the capture rate on exit, so the frames, guards and onset tail
-span the same time at every rate; the footstep stem carries nothing above
-8 kHz, where clean footsteps hold at most 4e-6 of their energy.
+mask, applied in place to the complex STFT, and the inverse transform; the
+voice stem is the mixture minus the footstep stem, so the two sum back to
+the input exactly. Every capture is separated at 16 kHz: it is resampled to
+16 kHz on entry and its footstep stem back to the capture rate on exit, so
+the frames, guards and onset tail span the same time at every rate; the
+footstep stem carries nothing above 8 kHz, where clean footsteps hold at
+most 4e-6 of their energy.
 
 The fits use the square-root multiplicative updates of Fevotte & Idier
 (Neural Computation 2011) and, as there, stop once the divergence falls by
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -498,8 +499,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
         iters = QUIET_ITERS if _weak_noise_floor(power, quiet) else ITERS
         model, _ = nmf_fit(power, onset_comb(power, period, rng), rng=rng, iters=iters)
     mask_foot, _ = source_masks(model)
-    foot = synthesize_padded(replace(spec, magnitudes=mask_foot * spec.magnitudes),
-                             offset, x.samples.size).samples
+    spec.values *= mask_foot
+    spec.magnitudes *= mask_foot
+    foot = synthesize_padded(spec, offset, x.samples.size).samples
     # ceil(ceil(n up / down) down / up) >= n, so the crop never pads
     foot = resample_poly(foot, down, up)[:mix.samples.size]
     return Waveform(foot, fs), Waveform(mix.samples - foot, fs)

@@ -22,17 +22,19 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _as_whole(x, name: str) -> int:
+def _as_whole(x, name: str, zero_ok: bool = False) -> int:
     """x as an int when it is a positive whole number (48000.0 passes,
-    16000.7 does not); otherwise a FootfallError that calls it name."""
+    16000.7 does not), or zero when zero_ok; otherwise a FootfallError that
+    calls it name."""
     try:
         if isinstance(x, (str, bytes, bool, np.bool_)):  # float() would take "512" and True
             raise TypeError
         value = float(x)
     except (TypeError, ValueError):
         raise FootfallError(f"{name} must be a number", **{name: repr(x)}) from None
-    if not (value > 0 and value.is_integer()):  # false for NaN and +-inf
-        raise FootfallError(f"{name} must be a positive whole number", **{name: x})
+    if not (value.is_integer() and (value > 0 or zero_ok and value == 0)):  # false for NaN, +-inf
+        kind = "whole number >= 0" if zero_ok else "positive whole number"
+        raise FootfallError(f"{name} must be a {kind}", **{name: x})
     return int(value)
 
 
@@ -80,18 +82,19 @@ class MultichannelWaveform:
 
 @dataclass
 class Spectrogram:
-    """Short-time magnitude spectrogram.
+    """Short-time spectrogram.
 
     magnitudes has shape (n_bins, n_frames) where n_bins = window_len // 2 + 1.
-    phase (radians, same shape) is kept when the spectrogram must be
-    invertible; magnitude-only spectrograms carry phase=None.
+    values holds the complex STFT itself (same shape, magnitudes == |values|)
+    when the spectrogram must be invertible; magnitude-only spectrograms
+    carry values=None. A mask scales values and magnitudes in place.
     """
 
     magnitudes: np.ndarray
     window_len: int
     hop: int
     sample_rate: int
-    phase: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         self.magnitudes = _as_float_array(self.magnitudes, "magnitudes", 2)
@@ -106,10 +109,18 @@ class Spectrogram:
                 rows=self.magnitudes.shape[0],
                 expected=expected_bins,
             )
-        if self.phase is not None:
-            self.phase = _as_float_array(self.phase, "phase", 2)
-            if self.phase.shape != self.magnitudes.shape:
-                raise FootfallError("phase shape must match magnitudes")
+        if self.values is not None:
+            self.values = np.asarray(self.values)
+            if not np.iscomplexobj(self.values):
+                raise FootfallError("values must be complex", dtype=str(self.values.dtype))
+            if self.values.shape != self.magnitudes.shape:
+                raise FootfallError("values shape must match magnitudes",
+                                    shape=list(self.values.shape),
+                                    expected=list(self.magnitudes.shape))
+            finite = np.isfinite(self.values)
+            if not finite.all():
+                raise FootfallError("values contains non-finite entries",
+                                    non_finite=int(finite.size - np.count_nonzero(finite)))
 
     @property
     def n_bins(self) -> int:
@@ -125,6 +136,7 @@ class Spectrogram:
         return self.sample_rate / self.hop
 
     def complex_values(self) -> np.ndarray:
-        if self.phase is None:
-            raise FootfallError("spectrogram has no phase; cannot rebuild complex values")
-        return self.magnitudes * np.exp(1j * self.phase)
+        """The complex STFT, not a copy."""
+        if self.values is None:
+            raise FootfallError("spectrogram has no complex values; it is magnitude-only")
+        return self.values

@@ -9,8 +9,6 @@ is shaped down, not gated to silence.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dsp import analyze_padded, synthesize_padded
@@ -40,20 +38,37 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram) -> Wavef
                             noise_floor_shape=tuple(noise_floor.magnitudes.shape))
     window_len, hop = noise_floor.window_len, noise_floor.hop
     spec, offset = analyze_padded(noisy, window_len, hop)
-    power = spec.magnitudes**2  # (n_bins, n_frames)
     noise = np.mean(noise_floor.magnitudes**2, axis=1)
     # an empty bin in the floor estimate must not blow up the posterior SNR
     noise = np.maximum(noise, 1e-12 * max(float(noise.max(initial=0.0)), 1e-300))
+    gains = _gains(spec.magnitudes, noise)
+    spec.values *= gains
+    spec.magnitudes *= gains
+    del gains  # room for the inverse
+    return synthesize_padded(spec, offset, noisy.samples.size)
 
-    n_bins, n_frames = power.shape
-    gains = np.empty_like(power)
-    prev_clean = np.zeros(n_bins)
-    for m in range(n_frames):
-        gamma = power[:, m] / noise
-        xi = ALPHA * (prev_clean / noise) + (1.0 - ALPHA) * np.maximum(gamma - 1.0, 0.0)
-        g = np.maximum(xi / (1.0 + xi), GAIN_FLOOR)
-        gains[:, m] = g
-        prev_clean = g * g * power[:, m]
 
-    out = replace(spec, magnitudes=gains * spec.magnitudes)
-    return synthesize_padded(out, offset, noisy.samples.size)
+def _gains(magnitudes: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Decision-directed gains (n_bins, n_frames) of magnitudes over noise (n_bins,).
+
+    xi = ALPHA * g_prev**2 * gamma_prev + (1 - ALPHA) * max(gamma - 1, 0) with
+    the posterior SNR gamma = |X|**2 / noise. The second term is filled in for
+    every frame at once; the recursion then adds the first frame by frame, in
+    place, so no frame allocates. The STFT's magnitudes are its transpose, so
+    each frame's column is contiguous.
+    """
+    gamma = magnitudes**2
+    gamma /= noise[:, None]
+    gains = np.subtract(gamma, 1.0)
+    np.maximum(gains, 0.0, out=gains)
+    gains *= 1.0 - ALPHA
+    gamma *= ALPHA  # the recursion reads gamma only as ALPHA * gamma
+    carry = np.zeros(gamma.shape[0])  # ALPHA * gamma_prev * g_prev**2, and scratch
+    for g, alpha_gamma in zip(gains.T, gamma.T):
+        np.add(g, carry, out=g)  # xi
+        np.add(g, 1.0, out=carry)
+        np.divide(g, carry, out=g)
+        np.maximum(g, GAIN_FLOOR, out=g)
+        np.multiply(g, g, out=carry)
+        carry *= alpha_gamma
+    return gains

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
@@ -125,6 +126,21 @@ def test_overlap_add_matches_a_frame_loop_bitwise(window_len, hop):
     assert np.array_equal(istft(spec).samples, want)
 
 
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("window_len, hop", [(512, 256), (512, 128), (400, 160), (512, 512)])
+def test_ola_weight_matches_a_frame_loop_bitwise_for_few_frames(window_len, hop, n_frames):
+    window = hann_window(window_len)
+    den = _loop_overlap_add(np.tile(window * window, (n_frames, 1)), hop)
+    assert np.array_equal(ola_weight(window, hop, n_frames), den)
+
+
+@pytest.mark.parametrize("n_frames", [0, -1, 2.5])
+def test_ola_weight_rejects_a_frame_count_that_is_not_positive(n_frames):
+    with pytest.raises(FootfallError) as err:
+        ola_weight(hann_window(512), 256, n_frames)
+    assert err.value.details == {"n_frames": n_frames}
+
+
 def test_stft_requires_full_window():
     with pytest.raises(FootfallError):
         stft(Waveform(np.ones(100), 16000), window_len=512, hop=256)
@@ -138,11 +154,70 @@ def test_padded_round_trip_exact_full_length():
     assert np.max(np.abs(back.samples - w.samples)) < 1e-9
 
 
-def test_spectrogram_phase_required_for_istft():
+def test_spectrogram_values_required_for_istft():
     spec = stft(_noise_wave(2048), 512, 256)
-    spec.phase = None
+    spec.values = None
     with pytest.raises(FootfallError):
         istft(spec)
+
+
+def test_stft_keeps_the_complex_spectrum_it_inverts():
+    w = _noise_wave(4096)
+    spec = stft(w, 512, 256)
+    frames = sliding_window_view(w.samples, 512)[::256] * hann_window(512)
+    assert np.array_equal(spec.values, np.fft.rfft(frames, axis=1).T)
+    assert np.array_equal(spec.magnitudes, np.abs(spec.values))
+    assert spec.complex_values() is spec.values
+
+
+def _values_with(kind):
+    values = stft(_noise_wave(2048), 512, 256).values
+    if kind == "nan":
+        values[3, 2] = np.nan
+    elif kind == "inf":
+        values[0, 0] = complex(0.0, np.inf)
+    elif kind == "shape":
+        values = values[:, 1:]
+    elif kind == "real":
+        values = np.abs(values)
+    return values
+
+
+@pytest.mark.parametrize("kind, detail", [("nan", "non_finite"), ("inf", "non_finite"),
+                                          ("shape", "shape"), ("real", "dtype")])
+def test_spectrogram_values_must_be_finite_complex_and_shaped_like_magnitudes(kind, detail):
+    mags = stft(_noise_wave(2048), 512, 256).magnitudes
+    with pytest.raises(FootfallError) as err:
+        Spectrogram(mags, 512, 256, 16000, values=_values_with(kind))
+    assert detail in err.value.details
+
+
+def test_istft_rejects_a_spectrogram_without_frames():
+    empty = Spectrogram(np.zeros((257, 0)), 512, 256, 16000, values=np.zeros((257, 0), complex))
+    with pytest.raises(FootfallError) as err:
+        istft(empty)
+    assert err.value.details == {"shape": [257, 0]}
+
+
+@pytest.mark.parametrize("offset, n_samples, name", [
+    (0, -5, "n_samples"), (-1, 10, "offset"), (2.5, 10, "offset"), (0, float("nan"), "n_samples"),
+    (0, "10", "n_samples"), (10**6, 0, "length"), (512, 10**6, "length")],
+    ids=["negative-length", "negative-offset", "fractional-offset", "nan-length", "str-length",
+         "offset-past-end", "span-past-end"])
+def test_synthesize_padded_rejects_a_span_outside_the_inverse(offset, n_samples, name):
+    spec, _ = analyze_padded(_noise_wave(1000), 512, 256)
+    with pytest.raises(FootfallError) as err:
+        synthesize_padded(spec, offset, n_samples)
+    assert name in err.value.details
+
+
+def test_synthesize_padded_takes_any_span_inside_the_inverse():
+    w = _noise_wave(1000)
+    spec, offset = analyze_padded(w, 512, 256)
+    full = istft(spec).samples
+    assert synthesize_padded(spec, offset, 0).samples.size == 0
+    assert np.array_equal(synthesize_padded(spec, 0.0, full.size).samples, full)
+    assert synthesize_padded(spec, full.size, 0).samples.size == 0
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 16000.7, 0.5, 0, None,

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from footfall.bss import sdr, sir
-from footfall.dsp import Waveform, rms, stft
+from footfall import wiener
+from footfall.dsp import Waveform, analyze_padded, rms, stft, synthesize_padded
 from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona
 from footfall.interferers import babble
 from footfall.scenes import MicArray, Scene, Trajectory, Walker, render_scene
 from footfall.types import Spectrogram
-from footfall.wiener import wiener_residual_suppress
+from footfall.wiener import ALPHA, GAIN_FLOOR, wiener_residual_suppress
 
 FS = 16000
+RATES = [8000, 16000, 44100, 48000]
 
 
 def _footsteps(seed=0, duration=8.0):
@@ -58,10 +62,11 @@ def test_clean_signal_loses_under_1db():
     assert sdr(out, foot) >= sdr(noisy, foot) - 1.0
 
 
-def test_silence_stays_silence():
-    profile = stft(Waveform(0.1 * np.random.default_rng(0).standard_normal(FS), FS),
+@pytest.mark.parametrize("rate", RATES)
+def test_silence_stays_silence(rate):
+    profile = stft(Waveform(0.1 * np.random.default_rng(0).standard_normal(rate), rate),
                    512, 256)
-    out = wiener_residual_suppress(Waveform(np.zeros(FS), FS), profile)
+    out = wiener_residual_suppress(Waveform(np.zeros(rate), rate), profile)
     assert np.abs(out.samples).max() == 0.0
 
 
@@ -75,14 +80,16 @@ def test_noise_alone_is_suppressed_not_gated():
     assert 0.05 <= ratio <= 0.5
 
 
-def test_output_length_matches_input():
-    n = 3 * FS + 1237
+@pytest.mark.parametrize("rate", RATES)
+def test_output_length_matches_input(rate):
+    n = 3 * rate + 1237
     rng = np.random.default_rng(2)
-    noisy = Waveform(rng.standard_normal(n), FS)
-    profile = stft(Waveform(rng.standard_normal(FS), FS), 512, 256)
+    noisy = Waveform(rng.standard_normal(n), rate)
+    profile = stft(Waveform(rng.standard_normal(rate), rate), 512, 256)
     out = wiener_residual_suppress(noisy, profile)
     assert out.samples.size == n
-    assert out.sample_rate == FS
+    assert out.sample_rate == rate
+    assert np.all(np.isfinite(out.samples))
 
 
 def test_sample_rate_mismatch_is_rejected():
@@ -100,3 +107,65 @@ def test_noise_floor_without_frames_is_rejected():
         wiener_residual_suppress(Waveform(np.ones(FS), FS), empty)
     assert "noise floor" in err.value.message
     assert err.value.details == {"noise_floor_shape": (257, 0)}
+
+
+def _reference_gains(magnitudes, noise):
+    """The decision-directed recursion written frame by frame, one array per
+    step: the reference for the stage's in-place recursion."""
+    power = magnitudes**2
+    gains = np.empty_like(power)
+    prev_clean = np.zeros(power.shape[0])
+    for m in range(power.shape[1]):
+        gamma = power[:, m] / noise
+        xi = ALPHA * (prev_clean / noise) + (1.0 - ALPHA) * np.maximum(gamma - 1.0, 0.0)
+        g = np.maximum(xi / (1.0 + xi), GAIN_FLOOR)
+        gains[:, m] = g
+        prev_clean = g * g * power[:, m]
+    return gains
+
+
+def _clicks_in_babble(rate, seconds, seed):
+    """Decaying clicks 0.6 s apart in babble, and a babble clip for the floor."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * rate)
+    t = np.arange(int(0.05 * rate)) / rate
+    click = np.exp(-t / 0.01) * np.sin(2 * np.pi * 180.0 * t)
+    x = babble(seconds + 2.0, rate, rng).samples
+    noisy = 0.3 * x[:n]
+    for start in range(int(0.2 * rate), n - click.size, int(0.6 * rate)):
+        noisy[start : start + click.size] += click
+    return Waveform(noisy, rate), stft(Waveform(0.3 * x[n:], rate), 512, 256)
+
+
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_in_place_recursion_matches_the_per_frame_formula(rate):
+    noisy, floor = _clicks_in_babble(rate, 3.0, seed=rate)
+    spec, offset = analyze_padded(noisy, 512, 256)
+    noise = np.mean(floor.magnitudes**2, axis=1)
+    noise = np.maximum(noise, 1e-12 * noise.max())
+    want = _reference_gains(spec.magnitudes, noise)
+    assert np.max(np.abs(wiener._gains(spec.magnitudes, noise) - want)) <= 1e-12
+    assert want.min() >= GAIN_FLOOR and want.max() < 1.0 and np.ptp(want) > 0.5
+    masked = Spectrogram(want * spec.magnitudes, 512, 256, rate, values=want * spec.values)
+    ref = synthesize_padded(masked, offset, noisy.samples.size).samples
+    out = wiener_residual_suppress(noisy, floor).samples
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_traced_peak_stays_under_eight_spectrogram_arrays():
+    # 10 s at 48 kHz. The stage holds the padded spectrogram (magnitudes and
+    # complex values, three (257, n_frames) float64 arrays), then the gains,
+    # then the inverse's frames, window weight and sum: its traced peak is
+    # 7.1 such arrays. The phase round trip with a masked copy of the
+    # spectrogram peaked at 13.1; one more complex copy of the values adds 2.
+    rng = np.random.default_rng(11)
+    noisy = Waveform(rng.standard_normal(10 * 48000), 48000)
+    floor = stft(Waveform(0.1 * rng.standard_normal(2 * 48000), 48000), 512, 256)
+    unit = analyze_padded(noisy, 512, 256)[0].magnitudes.nbytes
+    tracemalloc.start()
+    try:
+        wiener_residual_suppress(noisy, floor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * unit, peak / unit
