@@ -28,11 +28,13 @@ stationarity gap of the step-free frames tells apart, and keeps ITERS. The
 sweeps work in float32; inputs and the returned model are float64. The
 divergence track of a fit comes from the p/v ratios the sweeps form anyway,
 summed in float32, and is_divergence is the float64 reference it is tested
-against. Each fit cuts the frame axis into _PARTS fixed halves, and a
-two-worker thread pool runs the steps local to a frame column on both at
-once, in one dispatch per sweep; their shares of the template step and of
-the divergence are added in a fixed order, so the result never depends on
-the core count or on thread timing. nmf_separate divides the power by its
+against. Each fit of at least _SPLIT_FRAMES frames cuts the frame axis
+into _PARTS fixed halves; the calling thread runs the steps local to a
+frame column on half 0 while one pool worker runs them on half 1, in one
+dispatch per sweep. A smaller fit sweeps whole on the calling thread and
+starts no thread. The shares of the template step and of the divergence
+are added in a fixed order, so the result never depends on the core count
+or on thread timing. nmf_separate divides the power by its
 peak and rounds it to float32 once, so every fit, the refinement pass's
 included, sweeps the same bits at any mixture level.
 """
@@ -58,7 +60,10 @@ _TOL = 3e-4  # a fit stops once one sweep lowers the divergence by no more than 
 _WINDOW_LEN = 512
 _HOP = 256
 _RATE = 16000  # Hz; every capture is separated at this rate
-_PARTS = 2  # fixed frame halves of a fit, one per pool worker
+_PARTS = 2  # fixed frame halves of a fit: the calling thread sweeps one, a pool worker the other
+# Fewest frames a fit splits into halves. Below it one thread wake-up per
+# sweep costs more than the half-sweep it takes off the calling thread.
+_SPLIT_FRAMES = 256
 
 # Relative spectral floor: keeps the divergence finite over padded frames.
 _POWER_FLOOR = 1e-10
@@ -191,13 +196,15 @@ def _given_start(x, name: str, shape: tuple) -> np.ndarray:
 
 
 class _Half:
-    """One fixed frame half of a fit: float32 copies of its p and h columns.
+    """One fixed frame part of a fit: float32 copies of its p and h columns.
 
-    Each step here reads its own columns and the shared templates w only,
-    so the two halves of a fit run at once; every buffer is allocated once
-    per fit. The step sets its own np.errstate because it does not carry
-    into pool threads: the isfinite check on the track is the real guard,
-    and overflow en route to it must not warn.
+    A fit of at least _SPLIT_FRAMES frames has two, swept at once on the
+    calling thread and one pool worker; a smaller fit has one, holding every
+    frame. Each step here reads its own columns and the shared templates w
+    only, and every buffer is allocated once per fit. The step sets its own
+    np.errstate because it does not carry into pool threads: the isfinite
+    check on the track is the real guard, and overflow en route to it must
+    not warn.
     """
 
     def __init__(self, p32: np.ndarray, h32: np.ndarray, n_free_cols: int):
@@ -257,28 +264,32 @@ def _mu_sweeps(p, w, h, n_free_cols, iters) -> np.ndarray:
 
     The sweeps run in float32 on copies of p / max(p), w and h; dividing by
     the peak first makes the float32 sweeps the same at any mixture level.
-    The frame axis is cut into _PARTS fixed contiguous halves (_Half), and a
-    two-worker thread pool runs every step that is local to a frame column,
-    one half per worker, in one dispatch per track entry: each half's share
-    of the track's two sums, the next h-step, v = w @ h and its share of the
-    template step's numerator and denominator. The calling thread adds those
-    shares half 0 first and takes the stop test; only when the fit goes on
-    does it commit the new h and move and renormalize w, so a fit that stops
-    keeps the model its last track entry measured. A fit depends on the
-    fixed cut alone, never on the CPU count or on thread timing, and a
-    repeated fit repeats bitwise.
+    A fit of at least _SPLIT_FRAMES frames is cut into _PARTS fixed
+    contiguous halves (_Half); a smaller one is a single part, swept on the
+    calling thread with no thread started. Each track entry runs every step
+    that is local to a frame column: each part's share of the track's two
+    sums, the next h-step, v = w @ h and its share of the template step's
+    numerator and denominator. Half 1 is submitted to a one-worker pool, one
+    dispatch per track entry, while the calling thread runs half 0 and then
+    waits for half 1. The calling thread adds the shares half 0 first and
+    takes the stop test; only when the fit goes on does it commit the new h
+    and move and renormalize w, so a fit that stops keeps the model its last
+    track entry measured. A fit depends on its frame count and the fixed cut
+    alone, never on the CPU count or on thread timing, and a repeated fit
+    repeats bitwise.
 
     The result is written back into the float64 w and h, with the peak
     restored in h, and the moved columns are renormalized to unit L1 there.
     Each track entry is the divergence of the float32 model, taken from the
     p/v buffers that the next h-step needs anyway and summed in float32 per
-    half; the divergence is scale-invariant, and is_divergence is the
+    part; the divergence is scale-invariant, and is_divergence is the
     float64 reference.
     """
     f32 = np.float32
     free = slice(0, n_free_cols)
     peak = float(p.max())
-    cut = np.linspace(0, p.shape[1], _PARTS + 1).astype(int)
+    parts = _PARTS if p.shape[1] >= _SPLIT_FRAMES else 1
+    cut = np.linspace(0, p.shape[1], parts + 1).astype(int)
     with np.errstate(all="ignore"):  # as in _Half: the track's isfinite check guards
         p32 = (p / peak).astype(f32)
         w32 = w.astype(f32)
@@ -289,11 +300,13 @@ def _mu_sweeps(p, w, h, n_free_cols, iters) -> np.ndarray:
                     n_free_cols) for a, b in zip(cut[:-1], cut[1:])]
     del p32, h32
 
-    with ThreadPoolExecutor(max_workers=_PARTS) as pool:
+    # the pool starts its worker at the first submit, so a one-part fit starts none
+    with ThreadPoolExecutor(max_workers=_PARTS - 1) as pool:
 
         def step(scale) -> float:
-            """One _Half.step on each half; the track entry they measured."""
-            partials = list(pool.map(lambda half: half.step(w32, scale), halves))
+            """One _Half.step on each part; the track entry they measured."""
+            rest = [pool.submit(half.step, w32, scale) for half in halves[1:]]
+            partials = [halves[0].step(w32, scale)] + [done.result() for done in rest]
             return sum(r for r, _ in partials) - sum(lg for _, lg in partials) - p.size
 
         track = [step(np.ones((1, n_free_cols), dtype=f32))]  # x * 1 is exact

@@ -100,6 +100,7 @@ class Spectrogram:
         self.magnitudes = _as_float_array(self.magnitudes, "magnitudes", 2)
         self.window_len = _as_whole(self.window_len, "window_len")
         self.hop = _as_whole(self.hop, "hop")
+        self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
         if np.any(self.magnitudes < 0):
             raise FootfallError("magnitudes must be nonnegative")
         expected_bins = self.window_len // 2 + 1

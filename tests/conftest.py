@@ -4,7 +4,7 @@ import pytest
 
 
 class _InlineExecutor:
-    """Stands in for a synthesis thread pool: each task at once, on this thread."""
+    """Stands in for a thread pool: each task at once, on this thread."""
 
     def __init__(self, max_workers):
         pass

@@ -220,10 +220,16 @@ def test_synthesize_padded_takes_any_span_inside_the_inverse():
     assert synthesize_padded(spec, full.size, 0).samples.size == 0
 
 
+def _spectrogram(magnitudes, sample_rate):
+    return Spectrogram(magnitudes, 4, 2, sample_rate)
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 16000.7, 0.5, 0, None,
-                                  pytest.param("16000", id="str-16000"), True])
+                                  pytest.param("16000", id="str-16000"), True,
+                                  pytest.param("abc", id="str-abc"), 16000.5])
 @pytest.mark.parametrize("make, samples", [(Waveform, np.zeros(4)),
-                                           (MultichannelWaveform, np.zeros((2, 4)))])
+                                           (MultichannelWaveform, np.zeros((2, 4))),
+                                           (_spectrogram, np.zeros((3, 2)))])
 def test_sample_rate_must_be_a_positive_whole_number(make, samples, rate):
     with pytest.raises(FootfallError) as err:
         make(samples, rate)

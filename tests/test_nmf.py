@@ -1,6 +1,7 @@
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,22 +140,6 @@ def _fit_inputs(monkeypatch):
     return seen
 
 
-class _InlineExecutor:
-    """Stands in for the fit's thread pool: each half in turn, on this thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.fixture(scope="module")
 def babble_16k():
     """Power of the 16 kHz babble mixture and its nmf_fit starts per branch."""
@@ -190,10 +175,8 @@ def test_repeated_fit_stops_at_the_same_sweep_with_the_same_model(babble_16k):
     assert np.array_equal(m1.w, m2.w) and np.array_equal(m1.h, m2.h)
 
 
-@pytest.mark.parametrize("branch", ["blind", "pinned"])
-def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, babble_16k, branch):
-    power, starts = babble_16k
-    start = starts[branch]
+def _step_threads(monkeypatch):
+    """The threads that run _Half.step from here on."""
     ran_on = set()
     step = nmf._Half.step
 
@@ -202,11 +185,21 @@ def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, babble_16k,
         return step(half, *args)
 
     monkeypatch.setattr(nmf._Half, "step", watched)
+    return ran_on
+
+
+@pytest.mark.parametrize("branch", ["blind", "pinned"])
+def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, run_inline, babble_16k,
+                                                        branch):
+    power, starts = babble_16k
+    start = starts[branch]
+    assert power.shape[1] >= nmf._SPLIT_FRAMES
+    ran_on = _step_threads(monkeypatch)
     before = set(threading.enumerate())
     model, track = nmf_fit(power, rng=np.random.default_rng(3), **start)
-    assert threading.current_thread() not in ran_on
-    assert set(threading.enumerate()) <= before  # the pool's workers have exited
-    monkeypatch.setattr(nmf, "ThreadPoolExecutor", _InlineExecutor)
+    assert threading.current_thread() in ran_on and len(ran_on) == 2
+    assert set(threading.enumerate()) <= before  # the pool's worker has exited
+    run_inline(nmf)
     inline, inline_track = nmf_fit(power, rng=np.random.default_rng(3), **start)
     assert np.array_equal(track, inline_track)
     assert np.array_equal(model.w, inline.w) and np.array_equal(model.h, inline.h)
@@ -215,22 +208,42 @@ def test_fit_gives_the_same_bits_on_the_pool_and_inline(monkeypatch, babble_16k,
 @pytest.mark.parametrize("branch", ["blind", "pinned"])
 def test_fit_dispatches_to_the_pool_once_per_track_entry(monkeypatch, babble_16k, branch):
     power, starts = babble_16k
-    maps = []
+    submits = []
 
-    class Counting(_InlineExecutor):
-        def map(self, fn, *iterables):
-            maps.append(fn)
-            return super().map(fn, *iterables)
+    class Counting(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submits.append(fn)
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(nmf, "ThreadPoolExecutor", Counting)
     _, track = nmf_fit(power, rng=np.random.default_rng(3), **starts[branch])
-    assert len(maps) == len(track)
+    assert len(submits) == len(track)
+
+
+def test_fit_under_the_split_frame_count_starts_no_thread(monkeypatch, run_inline):
+    power = _random_power(p=nmf._SPLIT_FRAMES - 1)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    ran_on = _step_threads(monkeypatch)
+    model, track = nmf_fit(power, _comb(power), rng=np.random.default_rng(1))
+    assert started == [] and ran_on == {threading.current_thread()}
+    run_inline(nmf)
+    inline, inline_track = nmf_fit(power, _comb(power), rng=np.random.default_rng(1))
+    assert np.array_equal(track, inline_track)
+    assert np.array_equal(model.w, inline.w) and np.array_equal(model.h, inline.h)
 
 
 def test_concurrent_fits_match_a_lone_fit():
-    # three fits at once put six pool workers on the cores, and the short
-    # switch interval interleaves them far more often than by default
-    power = _random_power()
+    # three fits at once put three pool workers beside their three calling
+    # threads on the cores, and the short switch interval interleaves them far
+    # more often than by default; the fits are large enough to be split
+    power = _random_power(p=2 * nmf._SPLIT_FRAMES)
 
     def fit():
         return nmf_fit(power, _comb(power), rng=np.random.default_rng(1))

@@ -51,7 +51,7 @@ def _walk_scene(seed=0, fs=FS, **kw):
     return Scene(**defaults)
 
 
-@pytest.mark.parametrize("fs", [16000, 48000])
+@pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
 def test_render_same_seed_is_bit_identical(fs):
     voice = AirSource(babble(6.0, fs, np.random.default_rng(9)), [3.0, 0.5])
     kw = dict(voices=(voice,), noise_kind="pink", target_snr_db=20.0, target_sir_db=5.0)
@@ -61,7 +61,7 @@ def test_render_same_seed_is_bit_identical(fs):
     assert truth1.step_times().tolist() == truth2.step_times().tolist()
 
 
-@pytest.mark.parametrize("fs", [16000, 48000])
+@pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
 def test_walkers_superpose_exactly(fs):
     wa = Walker(_persona("ada"), _line([1.0, 1.0], [1.0, 4.0], 5.0))
     wb = Walker(_persona("bo", force=1.3), _line([2.5, 0.5], [0.5, 2.5], 5.0))
@@ -75,7 +75,7 @@ def test_walkers_superpose_exactly(fs):
     assert np.array_equal(truth.stems["ada"], solo_a.samples)
 
 
-@pytest.mark.parametrize("fs", [16000, 48000])
+@pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
 def test_mixture_is_sum_of_single_footsteps(fs):
     walker = Walker(_persona(), _line([2.0, 1.0], [2.0, 3.0], 4.0),
                     step_times=np.array([0.8, 1.7, 2.5, 3.3]), perturb_steps=False)

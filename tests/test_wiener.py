@@ -109,6 +109,15 @@ def test_noise_floor_without_frames_is_rejected():
     assert err.value.details == {"noise_floor_shape": (257, 0)}
 
 
+def test_noise_floor_without_energy_is_rejected():
+    silent = stft(Waveform(np.zeros(FS), FS), 512, 256)
+    noisy = Waveform(np.random.default_rng(0).standard_normal(FS), FS)
+    with pytest.raises(FootfallError) as err:
+        wiener_residual_suppress(noisy, silent)
+    assert "noise floor" in err.value.message
+    assert err.value.details == {"noise_floor_shape": tuple(silent.magnitudes.shape)}
+
+
 def _reference_gains(magnitudes, noise):
     """The decision-directed recursion written frame by frame, one array per
     step: the reference for the stage's in-place recursion."""
