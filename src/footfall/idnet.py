@@ -7,6 +7,13 @@ Architecture, on a 32x16 magnitude patch of one footstep:
     identity head: latent = sigmoid(dense(f)); identity logits = dense(latent)
     domain head:   domain logits = dense(sigmoid(dense(f * latent)))
 
+The trunk is channel-last: each activation is a 2-D array with one row per
+(patch, row, col) and one column per channel. A convolution is one GEMM on
+the unfolded rows and needs no transpose, batch-norm statistics are column
+sums, and the flatten before the dense layer is a reshape, so `project_w`'s
+rows run over (row, col, channel). Checkpoint version 3 has that order and
+refuses older files.
+
 Gradient split (Ganin & Lempitsky 2015): the identity head descends
 L_eta = L_u + lam * L_c / batch (cross-entropy plus the center loss), the
 domain head descends the domain cross-entropy L_delta, and the feature
@@ -41,7 +48,7 @@ _PROB_CLAMP = 1e-12
 
 VOTING_SCHEMES = {"single": (1, 1), "2-of-3": (2, 3), "3-of-5": (3, 5)}
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -104,65 +111,68 @@ class IdNet:
         return list(self.p.values())
 
 
-def _conv(x, w):
-    """Valid stride-1 convolution of (B, C, H, W); also returns the unfolded rows.
-
-    It has no bias: each convolution feeds _batchnorm, whose mean subtraction
-    would cancel one, and whose beta is the shift.
-    """
-    n, c, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    ph, pw = h - kh + 1, wd - kw + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ph * pw, c * kh * kw)
-    out = cols @ w.reshape(c_out, -1).T
-    return out.reshape(n, ph, pw, c_out).transpose(0, 3, 1, 2), cols
+def _unfold(x, kh, kw):
+    """Every valid kh x kw window of channel-last (B, H, W, C) x as one row,
+    in (kh, kw, c) order: `_unfold(x) @ _taps(w)` is the convolution."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return view.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
 
 
-def _conv_backward(g, cols, w):
-    """(dw, d cols) of _conv for the output gradient g."""
-    c_out = w.shape[0]
-    g = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    return (cols.T @ g).T.reshape(w.shape), g @ w.reshape(c_out, -1)
+def _taps(w):
+    """A (C_out, C, kh, kw) filter bank as a (kh * kw * C, C_out) matrix. No
+    bias: each convolution feeds _batchnorm, whose mean would cancel one."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+
+
+def _taps_grad(g, cols, shape):
+    """The (C_out, C, kh, kw) weight gradient of `cols @ _taps(w)`."""
+    c_out, c, kh, kw = shape
+    return (cols.T @ g).reshape(kh, kw, c, c_out).transpose(3, 2, 0, 1)
 
 
 def _fold(g_cols, shape, kh, kw):
-    """Scatter unfolded-row gradients back onto the (B, C, H, W) input."""
-    n, c, h, w = shape
-    ph, pw = h - kh + 1, w - kw + 1
-    g6 = g_cols.reshape(n, ph, pw, c, kh, kw)
+    """Scatter unfolded-row gradients back onto the (B, H, W, C) input."""
+    ph, pw = shape[1] - kh + 1, shape[2] - kw + 1
+    g6 = g_cols.reshape(shape[0], ph, pw, kh, kw, shape[3])
     gx = np.zeros(shape)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i:i + ph, j:j + pw] += g6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            gx[:, i:i + ph, j:j + pw] += g6[:, :, :, i, j]
     return gx
 
 
 def _batchnorm(x, gamma, beta, mean, var, train):
-    """Per-channel normalization; train mode uses the batch statistics
-    (biased variance) and nudges the running ones in place."""
-    shape = (1, -1, 1, 1)
-    if train:
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mu
-        batch_var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        mean += _BN_MOMENTUM * (mu.reshape(-1) - mean)
-        var += _BN_MOMENTUM * (batch_var.reshape(-1) - var)
-        inv = (batch_var + _BN_EPS) ** -0.5
-    else:
-        centered = x - mean.reshape(shape)
-        inv = 1.0 / np.sqrt(var.reshape(shape) + _BN_EPS)
-    xhat = centered * inv
-    return xhat * gamma.reshape(shape) + beta.reshape(shape), xhat, inv
+    """Per-channel normalization of x read as rows of one value per channel.
+
+    Train mode uses the batch statistics (biased variance), nudges the
+    running ones in place and returns (out, xhat, inv); eval mode is one
+    scale and shift per channel and returns (out, None, None).
+    """
+    rows = x.reshape(-1, gamma.size)
+    if not train:
+        scale = gamma / np.sqrt(var + _BN_EPS)
+        return (rows * scale + (beta - mean * scale)).reshape(x.shape), None, None
+    mu = rows.mean(axis=0)
+    xhat = rows - mu
+    batch_var = np.einsum("ij,ij->j", xhat, xhat) / rows.shape[0]
+    mean += _BN_MOMENTUM * (mu - mean)
+    var += _BN_MOMENTUM * (batch_var - var)
+    inv = (batch_var + _BN_EPS) ** -0.5
+    xhat *= inv
+    return (xhat * gamma + beta).reshape(x.shape), xhat, inv
 
 
 def _batchnorm_backward(g, xhat, inv, gamma):
-    """(d gamma, d beta, dx) of train-mode _batchnorm for the output gradient g."""
-    axes = (0, 2, 3)
-    gx = g * gamma.reshape(1, -1, 1, 1)
-    dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
-    return (g * xhat).sum(axis=axes), g.sum(axis=axes), dx
+    """(d gamma, d beta, dx) of train-mode _batchnorm for the (rows, C)
+    output gradient g: dx = gamma inv (g - sum g / n - xhat sum(g xhat) / n)."""
+    n = g.shape[0]
+    dgamma = np.einsum("ij,ij->j", g, xhat)
+    dbeta = g.sum(axis=0)
+    dx = xhat * (-dgamma / n)
+    dx += g
+    dx -= dbeta / n
+    dx *= gamma * inv
+    return dgamma, dbeta, dx
 
 
 def _dense_backward(g, x, w):
@@ -173,34 +183,36 @@ def _dense_backward(g, x, w):
 def _forward(net: IdNet, x: np.ndarray, train: bool, rng=None):
     """(f, identity logits, domain logits, cache) for (B, 32, 16) patches.
 
-    Train mode normalizes with batch statistics, updates the running ones
-    and drops trunk units with a mask drawn from rng. The cache holds what
-    _train_step needs for the backward pass.
+    ReLU and dropout share one gate. Train mode normalizes with batch
+    statistics, updates the running ones, drops trunk units with a mask
+    drawn from rng and caches what _train_step needs; eval returns no cache.
     """
-    p, r = net.p, net.running
-    a1, cols1 = _conv(x[:, None], p["conv1_w"])
-    b1, xhat1, inv1 = _batchnorm(a1, p["bn1_g"], p["bn1_b"],
-                                 r["bn1_mean"], r["bn1_var"], train)
-    h1 = b1 * (b1 > 0)
-    a2, cols2 = _conv(h1, p["conv2_w"])
-    b2, xhat2, inv2 = _batchnorm(a2, p["bn2_g"], p["bn2_b"],
-                                 r["bn2_mean"], r["bn2_var"], train)
-    h2 = (b2 * (b2 > 0)).reshape(x.shape[0], -1)
-    mask = None
-    if train:
-        mask = (rng.random(h2.shape) >= DROP_RATE) / (1.0 - DROP_RATE)
-        h2 = h2 * mask
+    p, r, n = net.p, net.running, x.shape[0]
+    h, cache = x[..., None], {}
+    for k in (1, 2):
+        w = p[f"conv{k}_w"]
+        kh, kw = w.shape[2:]
+        cols = _unfold(h, kh, kw)
+        b, xhat, inv = _batchnorm(cols @ _taps(w), p[f"bn{k}_g"], p[f"bn{k}_b"],
+                                  r[f"bn{k}_mean"], r[f"bn{k}_var"], train)
+        gate = b > 0  # b * gate, not np.maximum: -inf turns into NaN, so divergence shows
+        if train and k == 2:
+            gate = gate * ((rng.random(b.shape) >= DROP_RATE) / (1.0 - DROP_RATE))
+        if train:
+            cache.update({f"in{k}": h.shape, f"cols{k}": cols, f"xhat{k}": xhat,
+                          f"inv{k}": inv, f"gate{k}": gate})
+        b *= gate
+        h = b.reshape(n, h.shape[1] - kh + 1, h.shape[2] - kw + 1, w.shape[0])
+    h2 = h.reshape(n, -1)
     f = h2 @ p["project_w"] + p["project_b"]
     latent = _sigmoid(f @ p["id_hidden_w"] + p["id_hidden_b"])
     id_logits = latent @ p["id_out_w"] + p["id_out_b"]
     gated = f * latent
     dom_hidden = _sigmoid(gated @ p["dom_hidden_w"] + p["dom_hidden_b"])
     dom_logits = dom_hidden @ p["dom_out_w"] + p["dom_out_b"]
-    cache = {"cols1": cols1, "xhat1": xhat1, "inv1": inv1, "b1": b1,
-             "cols2": cols2, "xhat2": xhat2, "inv2": inv2, "b2": b2,
-             "h2": h2, "mask": mask, "latent": latent, "gated": gated,
-             "dom_hidden": dom_hidden}
-    return f, id_logits, dom_logits, cache
+    if train:
+        cache.update(h2=h2, latent=latent, gated=gated, dom_hidden=dom_hidden)
+    return f, id_logits, dom_logits, cache if train else None
 
 
 def forward(net: IdNet, patches):
@@ -266,8 +278,7 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
         grads = {}
         grads["id_out_w"], grads["id_out_b"], g = _dense_backward(g, latent, p["id_out_w"])
         g = g * latent * (1.0 - latent)
-        grads["id_hidden_w"], grads["id_hidden_b"], g_f = _dense_backward(
-            g, f, p["id_hidden_w"])
+        grads["id_hidden_w"], grads["id_hidden_b"], g_f = _dense_backward(g, f, p["id_hidden_w"])
         g_f = g_f + (lam / m) * diff
         l_d, g = _cross_entropy(dom_logits, domains)
         s = c["dom_hidden"]
@@ -278,18 +289,16 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
         g_dom_f = g * latent + (g * f * latent * (1.0 - latent)) @ p["id_hidden_w"].T
         g_f = g_f - lam_grl * g_dom_f
         # one backward pass through the trunk
-        grads["project_w"], grads["project_b"], g = _dense_backward(
-            g_f, c["h2"], p["project_w"])
-        b2 = c["b2"]
-        g = (g * c["mask"]).reshape(b2.shape) * (b2 > 0)
-        grads["bn2_g"], grads["bn2_b"], g = _batchnorm_backward(
-            g, c["xhat2"], c["inv2"], p["bn2_g"])
-        grads["conv2_w"], g = _conv_backward(g, c["cols2"], p["conv2_w"])
-        b1 = c["b1"]
-        g = _fold(g, b1.shape, *p["conv2_w"].shape[2:]) * (b1 > 0)
-        grads["bn1_g"], grads["bn1_b"], g = _batchnorm_backward(
-            g, c["xhat1"], c["inv1"], p["bn1_g"])
-        grads["conv1_w"], _ = _conv_backward(g, c["cols1"], p["conv1_w"])
+        grads["project_w"], grads["project_b"], g = _dense_backward(g_f, c["h2"], p["project_w"])
+        for k in (2, 1):
+            w = p[f"conv{k}_w"]
+            g = g.reshape(c[f"gate{k}"].shape)
+            g *= c[f"gate{k}"]
+            grads[f"bn{k}_g"], grads[f"bn{k}_b"], g = _batchnorm_backward(
+                g, c[f"xhat{k}"], c[f"inv{k}"], p[f"bn{k}_g"])
+            grads[f"conv{k}_w"] = _taps_grad(g, c[f"cols{k}"], w.shape)
+            if k == 2:  # conv1's input gradient is never needed
+                g = _fold(g @ _taps(w).T, c["in2"], *w.shape[2:])
     return (l_u, l_c, l_d), grads, f
 
 
@@ -308,8 +317,7 @@ class TrainSet:
         n = self.x.shape[0]
         if self.users.shape != (n,) or self.domains.shape != (n,):
             raise FootfallError("labels do not match the patches", n=n,
-                                users=list(self.users.shape),
-                                domains=list(self.domains.shape))
+                                users=list(self.users.shape), domains=list(self.domains.shape))
         if np.unique(self.users).size < 2:
             raise FootfallError("dataset must cover at least two users")
         if self.users.min() < 0 or self.domains.min() < 0:
@@ -362,12 +370,6 @@ def evaluate_accuracy(net: IdNet, patches, labels, batch: int = 256) -> float:
     return hits / max(1, labels.size)
 
 
-def _grl_ramp(epoch: int, epochs: int) -> float:
-    # 0 -> 1 linearly over the first 30% of epochs, then flat
-    warm = max(1.0, 0.3 * epochs)
-    return min(1.0, epoch / warm)
-
-
 def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Adversarial training with momentum SGD (v <- 0.9 v + g; p <- p - lr v).
 
@@ -377,7 +379,8 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     form diverges at this learning rate. On a single-domain dataset the
     domain loss and its gradients are exactly 0, so training reduces to
     L_eta. Deterministic for a given seed. The log reports the per-sample
-    center loss.
+    center loss. A loss or a running batch-norm statistic that is no longer
+    finite stops training with FootfallError.
     """
     rng = np.random.default_rng(config.seed)
     net = IdNet(dataset.n_users, dataset.n_domains, seed=config.seed)
@@ -392,16 +395,18 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     velocity = {name: np.zeros_like(a) for name, a in net.p.items()}
     log = []
     for epoch in range(config.epochs):
-        lam_grl = config.lam_grl * _grl_ramp(epoch, config.epochs)
+        # the reversal ramps 0 -> 1 linearly over the first 30% of epochs
+        lam_grl = config.lam_grl * min(1.0, epoch / max(1.0, 0.3 * config.epochs))
         perm = train_idx[rng.permutation(train_idx.size)]
         sums = np.zeros(3)
-        n_batches = 0
-        for lo in range(0, perm.size, config.batch):
+        starts = range(0, perm.size, config.batch)
+        for lo in starts:
             idx = perm[lo:lo + config.batch]
             losses, grads, f = _train_step(net, dataset.x[idx], dataset.users[idx],
                                            dataset.domains[idx], centers, config.lam,
                                            lam_grl, rng)
-            if not np.all(np.isfinite(losses)):
+            if not (np.all(np.isfinite(losses))
+                    and all(np.isfinite(s).all() for s in net.running.values())):
                 raise FootfallError("training diverged", epoch=epoch)
             for name, g in grads.items():
                 v = velocity[name]
@@ -410,15 +415,11 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
                 net.p[name] -= config.lr * v
             centers = _update_centers(centers, f, dataset.users[idx])
             sums += (losses[0], losses[1] / idx.size, losses[2])
-            n_batches += 1
-        val = (evaluate_accuracy(net, dataset.x[val_idx], dataset.users[val_idx])
-               if n_val else evaluate_accuracy(net, dataset.x[train_idx],
-                                               dataset.users[train_idx]))
-        log.append({"epoch": epoch,
-                    "loss_identity": float(sums[0] / n_batches),
-                    "loss_center": float(sums[1] / n_batches),
-                    "loss_domain": float(sums[2] / n_batches),
-                    "val_accuracy": float(val)})
+        held = val_idx if n_val else train_idx
+        val = evaluate_accuracy(net, dataset.x[held], dataset.users[held])
+        l_u, l_c, l_d = sums / len(starts)
+        log.append({"epoch": epoch, "loss_identity": float(l_u), "loss_center": float(l_c),
+                    "loss_domain": float(l_d), "val_accuracy": float(val)})
     return TrainResult(net=net, centers=centers, log=log)
 
 
@@ -439,8 +440,7 @@ def identify(net: IdNet, patches, voting: str = "single"):
         raise FootfallError("voting scheme needs a different step count",
                             voting=voting, expected=n, got=len(patches))
     _, pu, _ = forward(net, np.stack([_as_patches(p)[0] for p in patches]))
-    votes = pu.argmax(axis=1)
-    counts = np.bincount(votes, minlength=net.n_users)
+    counts = np.bincount(pu.argmax(axis=1), minlength=net.n_users)
     winner = int(counts.argmax())
     return winner, counts[winner] / len(patches)
 

@@ -7,6 +7,8 @@ energies (overall level); classifiers that want volume invariance drop it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.fft import dct
 
@@ -26,8 +28,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filterbank(window_len: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filterbank from 0 Hz to Nyquist, shape (26, window_len // 2 + 1)."""
+    """Triangular mel filterbank from 0 Hz to Nyquist, shape (26, window_len // 2 + 1).
+
+    Built once per (window_len, sample_rate); the shared array is read-only.
+    """
     n_bins = window_len // 2 + 1
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), _N_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
@@ -38,6 +44,7 @@ def mel_filterbank(window_len: int, sample_rate: int) -> np.ndarray:
         up = (bin_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - bin_freqs) / max(hi - center, 1e-12)
         fb[i] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

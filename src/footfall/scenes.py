@@ -430,9 +430,10 @@ def natural_walk(persona: FootstepPersona, start, end, rng: np.random.Generator,
     d = 0.0
     t = start_time
     while d < length:
-        f = float(np.clip(rng.normal(p.step_frequency_mean, sigma),
-                          0.6 * p.step_frequency_mean, 1.6 * p.step_frequency_mean))
-        step = stride * float(np.clip(1.0 + rng.normal(0.0, stride_noise), 0.5, 1.5))
+        # min(max()) on Python floats: np.clip would wrap each scalar in an array
+        f = min(max(rng.normal(p.step_frequency_mean, sigma),
+                    0.6 * p.step_frequency_mean), 1.6 * p.step_frequency_mean)
+        step = stride * min(max(1.0 + rng.normal(0.0, stride_noise), 0.5), 1.5)
         t += 1.0 / f
         d = min(d + step, length)
         times.append(t)

@@ -54,3 +54,26 @@ def test_shift_by_hop_shifts_frames():
 def test_mfc_deterministic():
     w = _tone_mix()
     assert np.array_equal(mfc(w), mfc(w))
+
+
+def test_filterbank_is_built_once_and_read_only():
+    fb = mel_filterbank(512, 16000)
+    assert mel_filterbank(512, 16000) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    assert np.array_equal(fb, mel_filterbank.__wrapped__(512, 16000))
+
+
+def test_mfc_with_the_cached_filterbank_is_bitwise_a_fresh_build():
+    from scipy.fft import dct
+
+    from footfall.dsp import stft
+
+    w = _tone_mix(sr=48000)
+    power = stft(w, 768, 384).magnitudes.T ** 2
+    energy = power @ mel_filterbank.__wrapped__(768, 48000).T
+    fresh = dct(np.log(np.maximum(energy, 1e-30)), type=2, axis=1, norm="ortho")[:, :13]
+    mel_filterbank.cache_clear()
+    for _ in range(2):  # the first call builds the filterbank, the second reuses it
+        assert np.array_equal(mfc(w, 768, 384), fresh)

@@ -3,27 +3,37 @@
 Each test differentiates one building block of idnet's numpy network
 (elementwise maps, dense and convolution layers, batch-norm, dropout, the
 losses and the gradient reversal) and compares the backward formulas that
-_train_step uses against central differences of a scalar loss.
+_train_step uses against central differences of a scalar loss. The trunk
+is channel-last; a channel-first einsum network checks its layout, and
+checkpoints from the channel-first layout are refused.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from footfall.errors import FootfallError
 from footfall.idnet import (
+    _BN_EPS,
     DROP_RATE,
     FEATURE_DIM,
     IdNet,
     _batchnorm,
     _batchnorm_backward,
-    _conv,
-    _conv_backward,
     _cross_entropy,
     _dense_backward,
     _fold,
     _forward,
     _sigmoid,
     _softmax,
+    _taps,
+    _taps_grad,
     _train_step,
+    _unfold,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
 )
 
 RTOL = 1e-4
@@ -91,30 +101,30 @@ def test_matmul_and_shape_op_gradients():
     b = np.zeros(5)
     dw, _, da = _dense_backward(np.full((3, 5), 1.0 / 15), a, w)
     _assert_grads_match(lambda: np.mean(a @ w + b), (a, da), (w, dw))
-    # the unfold, reshape and transpose of _conv give the direct convolution
-    x = rng.standard_normal((2, 3, 6, 5))
+    # the unfolded rows times the reordered taps give the direct convolution
+    x = rng.standard_normal((2, 6, 5, 3))
     wc = rng.standard_normal((4, 3, 3, 2))
     direct = np.zeros((2, 4, 4, 4))
     for i in range(3):
         for j in range(2):
-            direct += np.einsum("nchw,oc->nohw", x[:, :, i:i + 4, j:j + 4],
+            direct += np.einsum("nhwc,oc->nhwo", x[:, i:i + 4, j:j + 4],
                                 wc[:, :, i, j])
-    out, _ = _conv(x, wc)
+    out = (_unfold(x, 3, 2) @ _taps(wc)).reshape(direct.shape)
     assert np.allclose(out, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_unfold_and_conv_gradients():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((2, 3, 6, 5))
+    x = rng.standard_normal((2, 6, 5, 3))
     w = rng.standard_normal((4, 3, 3, 2))
     g_cols = rng.standard_normal((2 * 4 * 4, 3 * 3 * 2))
-    _assert_grads_match(lambda: 1.5 * np.sum(_conv(x, w)[1] * g_cols),
+    _assert_grads_match(lambda: 1.5 * np.sum(_unfold(x, 3, 2) * g_cols),
                         (x, 1.5 * _fold(g_cols, x.shape, 3, 2)))
-    weight = rng.standard_normal((2, 4, 4, 4))
-    _, cols = _conv(x, w)
-    dw, dcols = _conv_backward(weight, cols, w)
-    dx = _fold(dcols, x.shape, 3, 2)
-    _assert_grads_match(lambda: np.sum(weight * _conv(x, w)[0]),
+    weight = rng.standard_normal((2 * 4 * 4, 4))
+    cols = _unfold(x, 3, 2)
+    dw = _taps_grad(weight, cols, w.shape)
+    dx = _fold(weight @ _taps(w).T, x.shape, 3, 2)
+    _assert_grads_match(lambda: np.sum(weight * (_unfold(x, 3, 2) @ _taps(w))),
                         (x, dx), (w, dw))
 
 
@@ -130,8 +140,8 @@ def test_dense_gradient():
 
 def test_batchnorm_gradients_in_both_modes():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 3, 6, 5))
-    weight = rng.standard_normal((2, 3, 6, 5))
+    x = rng.standard_normal((2, 6, 5, 3))
+    weight = rng.standard_normal((2, 6, 5, 3))
     gamma = 1.0 + 0.3 * rng.standard_normal(3)
     beta = rng.standard_normal(3)
 
@@ -140,8 +150,9 @@ def test_batchnorm_gradients_in_both_modes():
         return np.sum(weight * out)
 
     _, xhat, inv = _batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), True)
-    dgamma, dbeta, dx = _batchnorm_backward(weight, xhat, inv, gamma)
-    _assert_grads_match(train_loss, (x, dx), (gamma, dgamma), (beta, dbeta))
+    dgamma, dbeta, dx = _batchnorm_backward(weight.reshape(-1, 3), xhat, inv, gamma)
+    _assert_grads_match(train_loss, (x, dx.reshape(x.shape)), (gamma, dgamma),
+                        (beta, dbeta))
 
     mean = rng.standard_normal(3)
     var = 0.5 + rng.random(3)
@@ -151,11 +162,13 @@ def test_batchnorm_gradients_in_both_modes():
         out, _, _ = _batchnorm(x, gamma, beta, mean, var, False)
         return np.sum(weight * out)
 
-    _, xhat, inv = _batchnorm(x, gamma, beta, mean, var, False)
+    assert _batchnorm(x, gamma, beta, mean, var, False)[1:] == (None, None)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
+    xhat = (x - mean) * inv
     _assert_grads_match(eval_loss,
-                        (x, weight * gamma.reshape(1, -1, 1, 1) * inv),
-                        (gamma, np.sum(weight * xhat, axis=(0, 2, 3))),
-                        (beta, np.sum(weight, axis=(0, 2, 3))))
+                        (x, weight * gamma * inv),
+                        (gamma, np.sum(weight * xhat, axis=(0, 1, 2))),
+                        (beta, np.sum(weight, axis=(0, 1, 2))))
     assert np.array_equal(mean, frozen[0]) and np.array_equal(var, frozen[1])
 
 
@@ -173,13 +186,20 @@ def test_dropout_gradient_with_held_mask():
     _assert_grads_match(lambda: step(42)[0][0], (net.p["bn2_b"], grads["bn2_b"]),
                         eps=1e-7)
     assert not np.allclose(step(43)[1]["bn2_b"], grads["bn2_b"])
+    # the shared ReLU and dropout gate holds 0 and the inverted-dropout scale
     _, _, _, cache = _forward(net, x, True, np.random.default_rng(42))
-    assert set(np.unique(cache["mask"])) == {0.0, 1.0 / (1.0 - DROP_RATE)}
-    # eval mode is the identity
-    _, _, _, cache = _forward(net, x, False)
-    assert cache["mask"] is None
-    b2 = cache["b2"]
-    assert np.array_equal(cache["h2"], (b2 * (b2 > 0)).reshape(x.shape[0], -1))
+    assert set(np.unique(cache["gate2"])) == {0.0, 1.0 / (1.0 - DROP_RATE)}
+    # eval mode is the identity: a plain ReLU trunk, and no cache
+    f, _, _, cache = _forward(net, x, False)
+    assert cache is None
+    p, r = net.p, net.running
+    b1, _, _ = _batchnorm(_unfold(x[..., None], 5, 3) @ _taps(p["conv1_w"]),
+                          p["bn1_g"], p["bn1_b"], r["bn1_mean"], r["bn1_var"], False)
+    h1 = np.maximum(b1, 0.0).reshape(x.shape[0], 28, 14, 32)
+    b2, _, _ = _batchnorm(_unfold(h1, 3, 2) @ _taps(p["conv2_w"]),
+                          p["bn2_g"], p["bn2_b"], r["bn2_mean"], r["bn2_var"], False)
+    h2 = np.maximum(b2, 0.0).reshape(x.shape[0], -1)
+    assert np.array_equal(f, h2 @ p["project_w"] + p["project_b"])
 
 
 def test_cross_entropy_gradient_and_uniform_value():
@@ -260,3 +280,55 @@ def test_single_domain_gives_no_adversarial_gradient():
         assert not np.any(plain[name]), name
     for name in net.p:
         assert np.array_equal(plain[name], reversed_[name]), name
+
+
+def _channel_first_features(net, x):
+    """Eval features of the same network written channel-first with einsum."""
+    p, r = net.p, net.running
+
+    def conv(a, w):
+        kh, kw = w.shape[2:]
+        ph, pw = a.shape[2] - kh + 1, a.shape[3] - kw + 1
+        return sum(np.einsum("nchw,oc->nohw", a[:, :, i:i + ph, j:j + pw], w[:, :, i, j])
+                   for i in range(kh) for j in range(kw))
+
+    def bn_relu(a, k):
+        s = (1, -1, 1, 1)
+        z = (a - r[f"bn{k}_mean"].reshape(s)) / np.sqrt(r[f"bn{k}_var"].reshape(s) + _BN_EPS)
+        return np.maximum(z * p[f"bn{k}_g"].reshape(s) + p[f"bn{k}_b"].reshape(s), 0.0)
+
+    h1 = bn_relu(conv(x[:, None], p["conv1_w"]), 1)
+    h2 = bn_relu(conv(h1, p["conv2_w"]), 2)
+    # project_w's rows run over (row, col, channel)
+    w = p["project_w"].reshape(h2.shape[2], h2.shape[3], h2.shape[1], FEATURE_DIM)
+    return np.einsum("nchw,hwcf->nf", h2, w) + p["project_b"]
+
+
+def test_channel_last_trunk_equals_a_channel_first_network():
+    rng = np.random.default_rng(16)
+    net = IdNet(3, 2, seed=16)
+    for k, c in ((1, 32), (2, 64)):
+        net.p[f"bn{k}_g"] = 1.0 + 0.3 * rng.standard_normal(c)
+        net.p[f"bn{k}_b"] = 0.5 * rng.standard_normal(c)
+        net.running[f"bn{k}_mean"] = 0.3 * rng.standard_normal(c)
+        net.running[f"bn{k}_var"] = 0.5 + rng.random(c)
+    x = rng.random((3, 32, 16))
+    f, _, _ = forward(net, x)
+    expected = _channel_first_features(net, x)
+    assert np.abs(f - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_checkpoint_refuses_the_channel_first_version(tmp_path):
+    # version 2 ordered project_w's rows by (channel, row, col)
+    path = tmp_path / "net.npz"
+    save_checkpoint(path, IdNet(2, 1), np.zeros((2, FEATURE_DIM)))
+    with np.load(path, allow_pickle=False) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    assert meta["version"] == 3
+    meta["version"] = 2
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(FootfallError, match="version") as err:
+        load_checkpoint(path)
+    assert err.value.details["version"] == 2

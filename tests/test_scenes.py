@@ -264,6 +264,45 @@ def test_natural_walk_strides_match_the_persona():
     assert walker.step_times.size == walker.trajectory.times.size - 1
 
 
+def _clip_walk_reference(persona, start, end, rng, start_time, stride_noise):
+    """natural_walk's step loop written with np.clip."""
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    length = float(np.linalg.norm(end - start))
+    u = (end - start) / length
+    stride = persona.speed_mean / persona.step_frequency_mean
+    sigma = np.sqrt(persona.step_frequency_var)
+    times, dists, d, t = [start_time], [0.0], 0.0, start_time
+    while d < length:
+        f = float(np.clip(rng.normal(persona.step_frequency_mean, sigma),
+                          0.6 * persona.step_frequency_mean,
+                          1.6 * persona.step_frequency_mean))
+        step = stride * float(np.clip(1.0 + rng.normal(0.0, stride_noise), 0.5, 1.5))
+        t += 1.0 / f
+        d = min(d + step, length)
+        times.append(t)
+        dists.append(d)
+    return np.array(times), start[None, :] + np.outer(dists, u)
+
+
+@pytest.mark.parametrize("pace,var,stride_noise", [
+    (1.8, 0.0001, 0.015),   # the defaults: the clamps never bind
+    (1.8, 0.5, 0.4),        # wide draws: both clamps bind on both sides
+    (1.2, 0.0025, 0.015),
+    (2.3, 0.3, 0.3),
+])
+def test_natural_walk_is_bitwise_the_np_clip_loop(pace, var, stride_noise):
+    persona = replace(_persona("cy"), step_frequency_mean=pace, step_frequency_var=var)
+    for seed in range(5):
+        walker = natural_walk(persona, [0.5, -2.0], [1.5, 4.0], np.random.default_rng(seed),
+                              start_time=0.3, stride_noise=stride_noise)
+        times, positions = _clip_walk_reference(persona, [0.5, -2.0], [1.5, 4.0],
+                                                np.random.default_rng(seed), 0.3,
+                                                stride_noise)
+        assert np.array_equal(walker.trajectory.times, times)
+        assert np.array_equal(walker.trajectory.positions, positions)
+        assert np.array_equal(walker.step_times, times[1:])
+
+
 def test_air_source_delay_and_gain_follow_geometry():
     pulse = np.zeros(16)
     pulse[0] = 1.0
