@@ -10,7 +10,7 @@
 set -euo pipefail
 
 out_dir="${RUNNER_TEMP:-$(mktemp -d)}"
-for w in babble16k quiet48k synth48k; do
+for w in babble16k quiet48k nowalk60s synth48k; do
   out="$out_dir/perfbench-$w.out"
   python3 perfbench/run.py --workload "$w" --seed 401 --seconds 2 --trace 0 > "$out"
   tail -n 1 "$out" | python3 -c "import json, sys; sys.exit(0 if json.load(sys.stdin)['correct'] else 1)" \

@@ -1,9 +1,8 @@
 """Short-time analysis primitives: STFT, inverse STFT, RMS level.
 
-A spectrogram keeps the complex STFT itself next to its magnitudes, and
-istft inverts those complex values directly: a filter scales them (and the
-magnitudes) by its real gain in place and inverts, with no phase round trip
-and no masked copy.
+A spectrogram is the complex STFT itself, and istft inverts those complex
+values directly: a filter scales them by its real gain in place and
+inverts, with no phase round trip and no masked copy.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _check_hop(window_len, hop) -> tuple[int, int]:
 
 
 def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
-    """Complex STFT with a periodic Hann window, kept with its magnitudes.
+    """Complex STFT with a periodic Hann window.
 
     Frames lie fully inside the signal (no padding), so shifting the input by
     one hop shifts the frame axis by exactly one column.
@@ -106,13 +105,7 @@ def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
     frames = _frame(w.samples, window_len, hop)
     window = hann_window(window_len)
     z = np.fft.rfft(frames * window, axis=1).T  # (n_bins, n_frames)
-    return Spectrogram(
-        magnitudes=np.abs(z),
-        values=z,
-        window_len=window_len,
-        hop=hop,
-        sample_rate=w.sample_rate,
-    )
+    return Spectrogram(z, window_len, hop, w.sample_rate)
 
 
 def istft(spec: Spectrogram) -> Waveform:
@@ -123,7 +116,7 @@ def istft(spec: Spectrogram) -> Waveform:
     where the window weight vanishes.
     """
     window_len, hop = _check_hop(spec.window_len, spec.hop)  # its fields can be reassigned
-    z = spec.complex_values()
+    z = spec.values
     if z.shape[1] == 0:
         raise FootfallError("spectrogram has no frames to invert", shape=list(z.shape))
     window = hann_window(window_len)

@@ -17,6 +17,7 @@ that precedes the airborne arrival.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,15 +55,31 @@ class FootstepPersona:
     speed_mean: float = 0.8
 
     def __post_init__(self):
-        if self.impact_force_scale < 0:
-            raise FootfallError("impact_force_scale must be nonnegative", persona=self.name)
+        # scalar checks: perturbed() builds a persona for every rendered step
+        if not (math.isfinite(self.impact_force_scale) and self.impact_force_scale >= 0):
+            raise FootfallError("impact_force_scale must be finite and nonnegative",
+                                persona=self.name, impact_force_scale=self.impact_force_scale)
         if not 0.0002 <= self.impact_duration_s <= 0.05:
             raise FootfallError("impact_duration_s out of range", persona=self.name)
         if not self.modes:
             raise FootfallError("persona needs at least one resonance mode", persona=self.name)
-        for f, d, a in self.modes:
-            if f <= 0 or d <= 0 or a < 0:
-                raise FootfallError("invalid resonance mode", persona=self.name, mode=(f, d, a))
+        for mode in self.modes:
+            try:
+                f, d, a = mode
+            except (TypeError, ValueError):
+                raise FootfallError("resonance mode must be a (frequency, damping, amplitude) triple",
+                                    persona=self.name, mode=repr(mode)) from None
+            if not (math.isfinite(f) and math.isfinite(d) and math.isfinite(a)
+                    and f > 0 and d > 0 and a >= 0):
+                raise FootfallError("invalid resonance mode", persona=self.name, mode=mode)
+        for name in ("step_frequency_mean", "speed_mean"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise FootfallError(f"{name} must be finite and positive",
+                                    persona=self.name, **{name: v})
+        if not (math.isfinite(self.step_frequency_var) and self.step_frequency_var >= 0):
+            raise FootfallError("step_frequency_var must be finite and nonnegative",
+                                persona=self.name, step_frequency_var=self.step_frequency_var)
 
     @property
     def max_mode_hz(self) -> float:
@@ -95,7 +112,6 @@ class FootstepParts:
     sample_rate: int
     air_template: np.ndarray
     structure_source: np.ndarray  # low-pass weighted modes, before dispersion
-    max_mode_hz: float
     _spectrum: tuple = field(default=(0, None), init=False, repr=False, compare=False)
 
     def _structure_spectrum(self, n: int) -> np.ndarray:
@@ -145,12 +161,7 @@ def footstep_parts(persona: FootstepPersona, material: FloorMaterial, sample_rat
         weight = np.exp(-f / STRUCTURE_LOWPASS_HZ)
         air = ringing if air is None else _add_varlen(air, ringing)
         structure = weight * ringing if structure is None else _add_varlen(structure, weight * ringing)
-    return FootstepParts(
-        sample_rate=sample_rate,
-        air_template=air,
-        structure_source=structure,
-        max_mode_hz=persona.max_mode_hz,
-    )
+    return FootstepParts(sample_rate=sample_rate, air_template=air, structure_source=structure)
 
 
 def _add_varlen(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -456,15 +456,6 @@ def voting_accuracy(p: float, voting: str) -> float:
                      for j in range(k, n + 1)))
 
 
-def simulate_voting(p: float, voting: str, trials: int, rng=None) -> float:
-    """Monte-Carlo estimate of the same k-of-n voting accuracy."""
-    if voting not in VOTING_SCHEMES:
-        raise FootfallError("unknown voting scheme", voting=voting)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    k, n = VOTING_SCHEMES[voting]
-    return float(np.mean(rng.binomial(n, p, size=trials) >= k))
-
-
 def _architecture_hash(net: IdNet) -> str:
     shapes = [list(a.shape) for a in net.params()]
     blob = json.dumps({"n_users": net.n_users, "n_domains": net.n_domains,

@@ -7,14 +7,14 @@ error in a loud one, so low-level impact tails are not sacrificed to loud
 voice harmonics. The component set is split in two, and the footstep share
 starts from activations opened only at the observed impacts, one per step
 period (onset_comb), so rhythmic energy settles there while sustained speech
-lands in the rest. The footstep stem is rebuilt through a per-bin Wiener
-mask, applied in place to the complex STFT, and the inverse transform; the
-voice stem is the mixture minus the footstep stem, so the two sum back to
-the input exactly. Every capture is separated at 16 kHz: it is resampled to
-16 kHz on entry and its footstep stem back to the capture rate on exit, so
-the frames, guards and onset tail span the same time at every rate; the
-footstep stem carries nothing above 8 kHz, where clean footsteps hold at
-most 4e-6 of their energy.
+lands in the rest. The power factored is |values|**2 of the mixture's
+complex STFT; the footstep stem is those values scaled in place by a
+per-bin Wiener mask and inverted, and the voice stem is the mixture minus
+the footstep stem, so the two sum back to the input exactly. Every capture
+is separated at 16 kHz: it is resampled to 16 kHz on entry and its footstep
+stem back to the capture rate on exit, so the frames, guards and onset tail
+span the same time at every rate; the footstep stem carries nothing above
+8 kHz, where clean footsteps hold at most 4e-6 of their energy.
 
 The fits use the square-root multiplicative updates of Fevotte & Idier
 (Neural Computation 2011) and, as there, stop once the divergence falls by
@@ -36,7 +36,10 @@ starts no thread. The shares of the template step and of the divergence
 are added in a fixed order, so the result never depends on the core count
 or on thread timing. nmf_separate divides the power by its
 peak and rounds it to float32 once, so every fit, the refinement pass's
-included, sweeps the same bits at any mixture level.
+included, sweeps the same bits at any mixture level, as long as no bin
+holds only FFT rounding noise. A capture below 16 kHz, upsampled, has such
+bins above its own Nyquist frequency; the refinement pass sees them, and
+at 8 kHz its stem moved by 8e-8 of its peak between levels.
 """
 
 from __future__ import annotations
@@ -513,7 +516,6 @@ def nmf_separate(mix: Waveform, step_freq: float,
         model, _ = nmf_fit(power, onset_comb(power, period, rng), rng=rng, iters=iters)
     mask_foot, _ = source_masks(model)
     spec.values *= mask_foot
-    spec.magnitudes *= mask_foot
     foot = synthesize_padded(spec, offset, x.samples.size).samples
     # ceil(ceil(n up / down) down / up) >= n, so the crop never pads
     foot = resample_poly(foot, down, up)[:mix.samples.size]

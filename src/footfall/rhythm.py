@@ -58,22 +58,21 @@ class StepRhythm:
 def asacc(spec: Spectrogram) -> Asacc:
     """Average autocorrelation of the lowest three spectrogram rows.
 
-    For lag j (in frames, j = 1 is zero lag) and row i:
+    For lag j (in frames, j = 1 is zero lag) and row i of the magnitudes V:
       B(i, j) = mean_k V(i, k) * V(i, k + j - 1)
     b(j) averages B over those rows and is normalized by b(1), which
     cancels any global gain on the spectrogram.
     """
-    V = spec.magnitudes
-    if V.size == 0 or V.shape[1] < 2:
+    if spec.n_frames < 2:
         raise FootfallError("spectrogram too small for autocorrelation",
-                            shape=list(V.shape))
-    if V.shape[0] < _ROWS:
-        raise FootfallError(f"spectrogram needs at least {_ROWS} rows", rows=V.shape[0])
-    P = V.shape[1]
+                            shape=list(spec.values.shape))
+    if spec.n_bins < _ROWS:
+        raise FootfallError(f"spectrogram needs at least {_ROWS} rows", rows=spec.n_bins)
+    P = spec.n_frames
     # per-row autocorrelation by a zero-padded FFT (no circular wrap-around),
     # summed over the rows; lag j-1 sums _ROWS * (P - j + 1) products
     n_fft = 1 << (2 * P - 1).bit_length()
-    s = np.fft.rfft(V[:_ROWS], n_fft, axis=1)
+    s = np.fft.rfft(np.abs(spec.values[:_ROWS]), n_fft, axis=1)
     b = np.fft.irfft((s.real**2 + s.imag**2).sum(axis=0), n_fft)[:P]
     b /= _ROWS * np.arange(P, 0, -1)
     if b[0] <= 0:

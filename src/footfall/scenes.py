@@ -32,7 +32,7 @@ from .errors import FootfallError
 from .floors import FloorMaterial
 from .footsteps import FootstepPersona, footstep_parts, place_footstep
 from .interferers import pink_noise, white_noise
-from .types import MultichannelWaveform, Waveform
+from .types import MultichannelWaveform, Waveform, _as_whole
 
 SCENE_BOUND_M = 50.0
 NOISE_KINDS = ("white", "pink")
@@ -152,7 +152,7 @@ class Walker:
     perturb_steps: bool = True
 
     def __post_init__(self):
-        if self.stance_width < 0 or self.stance_width > 0.5:
+        if not 0.0 <= self.stance_width <= 0.5:  # NaN fails the chain
             raise FootfallError("stance width out of range", stance_width=self.stance_width)
         if self.step_times is not None:
             self.step_times = np.asarray(self.step_times, dtype=np.float64).reshape(-1)
@@ -194,6 +194,7 @@ class Scene:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise FootfallError("duration must be finite and positive",
                                 duration_s=self.duration_s)
+        self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
         if self.noise_kind is not None and self.noise_kind not in NOISE_KINDS:
             raise FootfallError("unknown noise kind", noise_kind=self.noise_kind)
         names = [w.persona.name for w in self.walkers]

@@ -82,62 +82,48 @@ class MultichannelWaveform:
 
 @dataclass
 class Spectrogram:
-    """Short-time spectrogram.
+    """Short-time spectrogram: the complex STFT itself.
 
-    magnitudes has shape (n_bins, n_frames) where n_bins = window_len // 2 + 1.
-    values holds the complex STFT itself (same shape, magnitudes == |values|)
-    when the spectrogram must be invertible; magnitude-only spectrograms
-    carry values=None. A mask scales values and magnitudes in place.
+    values has shape (n_bins, n_frames) where n_bins = window_len // 2 + 1;
+    magnitudes is |values|, computed on each read. A mask scales values in
+    place.
     """
 
-    magnitudes: np.ndarray
+    values: np.ndarray
     window_len: int
     hop: int
     sample_rate: int
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        self.magnitudes = _as_float_array(self.magnitudes, "magnitudes", 2)
+        self.values = np.asarray(self.values)
         self.window_len = _as_whole(self.window_len, "window_len")
         self.hop = _as_whole(self.hop, "hop")
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
-        if np.any(self.magnitudes < 0):
-            raise FootfallError("magnitudes must be nonnegative")
+        if not np.iscomplexobj(self.values):
+            raise FootfallError("values must be complex", dtype=str(self.values.dtype))
         expected_bins = self.window_len // 2 + 1
-        if self.magnitudes.shape[0] != expected_bins:
-            raise FootfallError(
-                "magnitudes row count must equal window_len // 2 + 1",
-                rows=self.magnitudes.shape[0],
-                expected=expected_bins,
-            )
-        if self.values is not None:
-            self.values = np.asarray(self.values)
-            if not np.iscomplexobj(self.values):
-                raise FootfallError("values must be complex", dtype=str(self.values.dtype))
-            if self.values.shape != self.magnitudes.shape:
-                raise FootfallError("values shape must match magnitudes",
-                                    shape=list(self.values.shape),
-                                    expected=list(self.magnitudes.shape))
-            finite = np.isfinite(self.values)
-            if not finite.all():
-                raise FootfallError("values contains non-finite entries",
-                                    non_finite=int(finite.size - np.count_nonzero(finite)))
+        if self.values.ndim != 2 or self.values.shape[0] != expected_bins:
+            raise FootfallError("values must be 2-dimensional with window_len // 2 + 1 rows",
+                                shape=list(self.values.shape), expected_rows=expected_bins)
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            raise FootfallError("values contains non-finite entries",
+                                non_finite=int(finite.size - np.count_nonzero(finite)))
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        """|values|, a new array on each read."""
+        return np.abs(self.values)
 
     @property
     def n_bins(self) -> int:
-        return self.magnitudes.shape[0]
+        return self.values.shape[0]
 
     @property
     def n_frames(self) -> int:
-        return self.magnitudes.shape[1]
+        return self.values.shape[1]
 
     @property
     def frame_rate(self) -> float:
         """Frames per second along the time axis."""
         return self.sample_rate / self.hop
-
-    def complex_values(self) -> np.ndarray:
-        """The complex STFT, not a copy."""
-        if self.values is None:
-            raise FootfallError("spectrogram has no complex values; it is magnitude-only")
-        return self.values

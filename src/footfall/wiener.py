@@ -35,19 +35,18 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram) -> Wavef
         )
     if noise_floor.n_frames == 0:
         raise FootfallError("noise floor has no frames to estimate the noise from",
-                            noise_floor_shape=tuple(noise_floor.magnitudes.shape))
+                            noise_floor_shape=noise_floor.values.shape)
     window_len, hop = noise_floor.window_len, noise_floor.hop
     spec, offset = analyze_padded(noisy, window_len, hop)
     noise = np.mean(noise_floor.magnitudes**2, axis=1)
     peak = float(noise.max())
     if not peak > 0.0:
         raise FootfallError("noise floor has no energy to estimate the noise from",
-                            noise_floor_shape=tuple(noise_floor.magnitudes.shape))
+                            noise_floor_shape=noise_floor.values.shape)
     # an empty bin in the floor estimate must not blow up the posterior SNR
     noise = np.maximum(noise, 1e-12 * max(peak, 1e-300))
     gains = _gains(spec.magnitudes, noise)
     spec.values *= gains
-    spec.magnitudes *= gains
     del gains  # room for the inverse
     return synthesize_padded(spec, offset, noisy.samples.size)
 

@@ -142,6 +142,33 @@ def test_mode_above_nyquist_rejected():
         synth_footstep(persona, CONCRETE_SLAB, 1.0, 16000)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("modes", ((70.0, 30.0),), "mode"),
+    ("modes", (70.0,), "mode"),
+    ("modes", ((70.0, _NAN, 1.0),), "mode"),
+    ("modes", ((70.0, 30.0, float("inf")),), "mode"),
+    ("impact_force_scale", _NAN, "impact_force_scale"),
+    ("step_frequency_mean", 0.0, "step_frequency_mean"),
+    ("step_frequency_mean", _NAN, "step_frequency_mean"),
+    ("step_frequency_var", -0.01, "step_frequency_var"),
+    ("step_frequency_var", float("inf"), "step_frequency_var"),
+    ("speed_mean", -0.8, "speed_mean"),
+    ("speed_mean", _NAN, "speed_mean"),
+], ids=["pair-mode", "bare-number-mode", "nan-damping", "inf-amplitude", "nan-force",
+        "zero-pace", "nan-pace", "negative-pace-var", "inf-pace-var", "negative-speed",
+        "nan-speed"])
+def test_persona_rejects_a_malformed_or_non_finite_parameter(field, value, detail):
+    fields = dict(name="p", impact_force_scale=1.0, impact_duration_s=0.002,
+                  modes=((70.0, 30.0, 1.0),))
+    with pytest.raises(FootfallError) as err:
+        FootstepPersona(**{**fields, field: value})
+    assert detail in err.value.details
+    FootstepPersona(**fields, step_frequency_var=0.0)  # a fixed pace is fine
+
+
 def test_range_bounds_rejected():
     with pytest.raises(FootfallError):
         synth_footstep(_persona(), CONCRETE_SLAB, 0.0, 16000)

@@ -16,7 +16,6 @@ from footfall.idnet import (
     identify,
     load_checkpoint,
     save_checkpoint,
-    simulate_voting,
     train_adversarial,
     voting_accuracy,
 )
@@ -180,14 +179,11 @@ def test_training_step_is_momentum_sgd():
         assert np.allclose(got.p[name], net.p[name], rtol=1e-12, atol=1e-15), name
 
 
-def test_voting_closed_form_and_monte_carlo():
+def test_voting_closed_form():
     assert voting_accuracy(0.9, "2-of-3") == pytest.approx(0.972, abs=1e-12)
     assert voting_accuracy(0.9, "single") == pytest.approx(0.9, abs=1e-12)
-    mc = simulate_voting(0.9, "2-of-3", 100000, np.random.default_rng(7))
-    assert abs(mc - 0.972) < 0.005
-    p = 0.9073
-    mc5 = simulate_voting(p, "3-of-5", 10000, np.random.default_rng(8))
-    assert abs(mc5 - voting_accuracy(p, "3-of-5")) < 0.01
+    # 10 * 0.9**3 * 0.1**2 + 5 * 0.9**4 * 0.1 + 0.9**5
+    assert voting_accuracy(0.9, "3-of-5") == pytest.approx(0.99144, abs=1e-12)
 
 
 def test_identify_unanimous_and_errors(trained):

@@ -638,6 +638,16 @@ def test_fit_rejects_bad_pinned_starts_by_name(monkeypatch, name, entry):
     (16000, 4, 8.0, 0.0, "pinned"),
     (48000, 3, 6.0, 10.0, "blind"),
     (48000, 3, 6.0, 0.0, "pinned"),
+    (8000, 4, 8.0, 0.0, "blind"),
+    # An 8 kHz capture, upsampled, holds only FFT rounding noise above 4 kHz.
+    # Its power there sits below the fits' floor, which hides it from the
+    # first passes, but the refinement scales the power by the voice mask
+    # and floors it again, so one flipped entry (a 6e-12 bin at 7.4 kHz)
+    # changes that fit and the stem by 8e-8 of its peak at 1e-3 level.
+    pytest.param(8000, 3, 8.0, 0.0, "pinned", marks=pytest.mark.xfail(
+        strict=True, reason="the refinement input depends on the level at 8 kHz")),
+    (44100, 3, 6.0, 10.0, "blind"),
+    (44100, 4, 8.0, 0.0, "pinned"),
 ])
 def test_separation_does_not_depend_on_the_mixture_level(monkeypatch, fs, seed, duration,
                                                           sir_db, branch):

@@ -352,6 +352,21 @@ def test_scene_rejects_a_non_finite_duration(duration_s):
     assert np.array_equal(err.value.details["duration_s"], duration_s, equal_nan=True)
 
 
+@pytest.mark.parametrize("rate", [-16000, 0, 16000.5, float("nan")])
+def test_scene_rejects_a_sample_rate_that_is_not_a_positive_whole_number(rate):
+    with pytest.raises(FootfallError) as err:
+        _walk_scene(fs=rate)
+    assert "sample_rate" in err.value.details
+    assert type(_walk_scene(fs=16000.0).sample_rate) is int
+
+
+@pytest.mark.parametrize("width", [float("nan"), -0.1, 0.6])
+def test_walker_rejects_a_stance_width_outside_0_to_half_a_metre(width):
+    with pytest.raises(FootfallError) as err:
+        Walker(_persona(), _line([0, 0], [1, 0], 2.0), stance_width=width)
+    assert "stance_width" in err.value.details
+
+
 def test_scene_validation_catches_bad_setups():
     with pytest.raises(FootfallError):
         Scene(floor=CONCRETE_SLAB, array=_array(),
