@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FootfallError
-from .types import Waveform
+from .types import _as_float_array, _as_real
 
 DB_CAP = 100.0
 
@@ -32,26 +32,13 @@ class SeparationScore:
     sdr: float
 
     def __post_init__(self):
-        self.sir = float(self.sir)
-        self.sdr = float(self.sdr)
-        if not (np.isfinite(self.sir) and np.isfinite(self.sdr)):
-            raise FootfallError("separation score must be finite", sir=self.sir, sdr=self.sdr)
+        self.sir, self.sdr = _as_real(self.sir, "sir"), _as_real(self.sdr, "sdr")
         # distortion includes interference, so sdr cannot sit far above sir
         if self.sdr > self.sir + 60.0:
             raise FootfallError("sdr exceeds sir by more than 60 dB", sir=self.sir, sdr=self.sdr)
 
     def to_dict(self) -> dict:
         return {"sir_db": self.sir, "sdr_db": self.sdr}
-
-
-def _samples(x, name: str) -> np.ndarray:
-    """One signal as a finite 1-d float64 array; errors name the argument."""
-    x = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise FootfallError(f"{name} must be 1-d", argument=name, shape=tuple(x.shape))
-    if not np.all(np.isfinite(x)):
-        raise FootfallError(f"{name} must be finite", argument=name)
-    return x
 
 
 def _project(est: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -69,6 +56,11 @@ def _ratio_db(num: float, den: float) -> float:
     if den <= 0.0:
         return DB_CAP
     return float(np.clip(10.0 * np.log10(num / den), -DB_CAP, DB_CAP))
+
+
+def _samples(x, name: str) -> np.ndarray:
+    """One signal, a Waveform or a finite 1-d array; errors name the argument."""
+    return _as_float_array(getattr(x, "samples", x), name, (None,))
 
 
 def decompose(estimate, target, interferers=(), noise=None) -> dict[str, np.ndarray]:

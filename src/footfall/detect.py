@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FootfallError
 from .gmm import gmm_classify
 from .mfc import mfc
-from .types import Waveform
+from .types import Waveform, _as_float_array, _as_positive, _as_real, _as_whole
 
 MERGE_GAP_S = 0.05
 _GATE_FACTOR = 4.0  # gate threshold over the median frame RMS
@@ -29,8 +29,7 @@ class Segment:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise FootfallError("segment duration must be positive", duration_s=self.duration_s)
+        _as_positive(self.duration_s, "duration_s")
 
     @property
     def end_s(self) -> float:
@@ -47,8 +46,7 @@ class DetectionEvent:
     log_likelihoods: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise FootfallError("event duration must be positive", duration_s=self.duration_s)
+        _as_positive(self.duration_s, "duration_s")
         if self.log_likelihoods:
             best = max(self.log_likelihoods.values())
             if self.log_likelihoods.get(self.label) != best:
@@ -61,9 +59,7 @@ class DetectionEvent:
 
 
 def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
-    if not isinstance(frame, (int, np.integer)) or frame <= 0:
-        raise FootfallError("frame length must be a positive whole number of samples",
-                            frame=frame)
+    frame = _as_whole(frame, "frame")
     n_full = x.size // frame
     out = np.sqrt(np.mean(x[: n_full * frame].reshape(n_full, frame) ** 2, axis=1)) \
         if n_full else np.zeros(0)
@@ -76,7 +72,7 @@ def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
 def energy_gate(w: Waveform, frame: int, threshold: float) -> list:
     """Maximal runs of frames with RMS above threshold, gaps < MERGE_GAP_S closed."""
     levels = _frame_rms(w.samples, frame)
-    active = levels > threshold
+    active = levels > _as_real(threshold, "threshold")
     segments = []
     start = None
     for i, on in enumerate(np.append(active, False)):
@@ -109,8 +105,8 @@ def gate_threshold(w: Waveform, frame: int) -> float:
 
 def classification_features(coeffs) -> np.ndarray:
     """Cepstral frames minus coefficient 0, so features ignore absolute level."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[1] < 2:
+    coeffs = _as_float_array(coeffs, "coeffs", (None, None))
+    if coeffs.shape[1] < 2:
         raise FootfallError("need at least two cepstral coefficients per frame",
                             shape=list(coeffs.shape))
     return coeffs[:, 1:]

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FootfallError
-from .types import Spectrogram, Waveform, _as_whole
+from .types import Spectrogram, Waveform, _as_float_array, _as_positive, _as_whole
 
 # Relative floor under which the overlap-add weight is treated as zero.
 _OLA_FLOOR = 1e-8
@@ -24,7 +24,7 @@ def hann_window(n: int) -> np.ndarray:
 
 def rms(w: Waveform | np.ndarray) -> float:
     """Root-mean-square level of a waveform."""
-    x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+    x = w.samples if isinstance(w, Waveform) else _as_float_array(w, "w", None)
     if x.size == 0:
         raise FootfallError("rms of empty waveform")
     return float(np.sqrt(np.mean(x * x)))
@@ -147,9 +147,9 @@ def narrowband_envelope(x: np.ndarray, sample_rate: int, center_hz: float, bandw
     sidelobes, so strong out-of-band content cannot masquerade as an early
     arrival. Useful for timing a single arrival whose carrier is known.
     """
-    if center_hz <= 0 or bandwidth_hz <= 0:
-        raise FootfallError("band must be positive", center_hz=center_hz, bandwidth_hz=bandwidth_hz)
-    x = np.asarray(x, dtype=np.float64)
+    center_hz = _as_positive(center_hz, "center_hz")
+    bandwidth_hz = _as_positive(bandwidth_hz, "bandwidth_hz")
+    x = _as_float_array(x, "x", (None,))
     spectrum = np.fft.fft(x)
     f = np.fft.fftfreq(x.size, 1.0 / sample_rate)
     sigma = 0.25 * bandwidth_hz

@@ -8,12 +8,12 @@ one is what monaural ranging inverts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FootfallError
+from .types import _as_float_array, _as_positive
 
 AIR_SPEED = 340.0  # m/s
 
@@ -36,12 +36,10 @@ class FloorMaterial:
 
     def __post_init__(self):
         for constant in ("young_modulus", "density", "thickness", "air_speed"):
-            value = getattr(self, constant)
-            if not (math.isfinite(value) and value > 0):
-                raise FootfallError("material constants must be finite and positive",
-                                    material=self.name, constant=constant, value=value)
-        if not 0.0 <= self.poisson_ratio < 1.0:
-            raise FootfallError("poisson_ratio must lie in [0, 1)", value=self.poisson_ratio)
+            _as_positive(getattr(self, constant), constant)
+        if not _as_positive(self.poisson_ratio, "poisson_ratio", zero_ok=True) < 1.0:
+            raise FootfallError("poisson_ratio must lie in [0, 1)",
+                                poisson_ratio=self.poisson_ratio)
 
 
 # calibrated so dispersion_speed(..., 1000.0) sits in the 2000-3000 m/s band
@@ -67,14 +65,13 @@ def dispersion_speed(material: FloorMaterial, freq_hz):
 
     Scales as sqrt(f); accepts scalars or arrays, zero frequency maps to zero.
     """
-    f = np.asarray(freq_hz, dtype=np.float64)
-    if not np.all(np.isfinite(f) & (f >= 0)):
-        details = {"freq_hz": float(f)} if f.ndim == 0 else {}
-        raise FootfallError("frequency must be finite and nonnegative", **details)
+    scalar = np.isscalar(freq_hz)
+    f = (_as_positive(freq_hz, "freq_hz", zero_ok=True) if scalar
+         else _as_float_array(freq_hz, "freq_hz", None, nonnegative=True))
     stiffness = material.young_modulus * material.thickness
     denom = 12.0 * material.density * (1.0 - material.poisson_ratio**2)
     c = (stiffness * f * f / denom) ** 0.25
-    return float(c) if np.isscalar(freq_hz) else c
+    return float(c) if scalar else c
 
 
 def arrival_gap(range_m: float, material: FloorMaterial, f_ref_hz: float) -> float:
@@ -83,10 +80,8 @@ def arrival_gap(range_m: float, material: FloorMaterial, f_ref_hz: float) -> flo
     gap = range * (1/c_air - 1/c_f(f_ref)); positive whenever the bending
     wave at f_ref outruns sound in air.
     """
-    if not (math.isfinite(range_m) and range_m > 0):
-        raise FootfallError("range must be finite and positive", range_m=range_m)
-    if not (math.isfinite(f_ref_hz) and f_ref_hz > 0):
-        raise FootfallError("f_ref must be finite and positive", f_ref_hz=f_ref_hz)
+    range_m = _as_positive(range_m, "range_m")
+    f_ref_hz = _as_positive(f_ref_hz, "f_ref_hz")
     c_f = dispersion_speed(material, f_ref_hz)
     if not c_f > 0:  # f_ref so small that f_ref**2 underflows
         raise FootfallError("dispersion speed at f_ref must be positive", f_ref_hz=f_ref_hz)
@@ -97,10 +92,8 @@ def material_for_speed(
     speed: float, f_ref_hz: float = 1000.0, base: FloorMaterial = CONCRETE_SLAB
 ) -> FloorMaterial:
     """Variant of a material whose bending-wave speed at f_ref is exactly `speed`."""
-    if not (math.isfinite(speed) and speed > 0):
-        raise FootfallError("speed must be finite and positive", speed=speed)
-    if not (math.isfinite(f_ref_hz) and f_ref_hz > 0):
-        raise FootfallError("f_ref must be finite and positive", f_ref_hz=f_ref_hz)
+    speed = _as_positive(speed, "speed")
+    f_ref_hz = _as_positive(f_ref_hz, "f_ref_hz")
     denom = 12.0 * base.density * (1.0 - base.poisson_ratio**2)
     young = speed**4 * denom / (base.thickness * f_ref_hz**2)
     return replace(base, name=f"{base.name}-c{int(speed)}", young_modulus=young)

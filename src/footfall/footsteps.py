@@ -17,7 +17,6 @@ that precedes the airborne arrival.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.signal import fftconvolve
 
 from .errors import FootfallError
 from .floors import FloorMaterial, dispersion_speed
-from .types import Waveform
+from .types import Waveform, _as_float_array, _as_positive, _as_whole
 
 # structural coupling rolls off with frequency; air keeps the full mode set
 STRUCTURE_LOWPASS_HZ = 800.0
@@ -36,6 +35,8 @@ _REFERENCE_IMPACT_S = 0.002
 _RING_DECAY = 11.5  # synthesize modes until exp(-d t) ~ 1e-5
 _MAX_RING_S = 0.6
 _FADE_S = 0.005
+# relative spread of each rendered step's impact force, duration and mode amplitudes
+_FORCE_JITTER, _DURATION_JITTER, _AMP_JITTER = 0.10, 0.05, 0.06
 
 
 @dataclass(frozen=True)
@@ -56,41 +57,39 @@ class FootstepPersona:
 
     def __post_init__(self):
         # scalar checks: perturbed() builds a persona for every rendered step
-        if not (math.isfinite(self.impact_force_scale) and self.impact_force_scale >= 0):
-            raise FootfallError("impact_force_scale must be finite and nonnegative",
-                                persona=self.name, impact_force_scale=self.impact_force_scale)
-        if not 0.0002 <= self.impact_duration_s <= 0.05:
-            raise FootfallError("impact_duration_s out of range", persona=self.name)
-        if not self.modes:
-            raise FootfallError("persona needs at least one resonance mode", persona=self.name)
-        for mode in self.modes:
-            try:
-                f, d, a = mode
-            except (TypeError, ValueError):
-                raise FootfallError("resonance mode must be a (frequency, damping, amplitude) triple",
-                                    persona=self.name, mode=repr(mode)) from None
-            if not (math.isfinite(f) and math.isfinite(d) and math.isfinite(a)
-                    and f > 0 and d > 0 and a >= 0):
-                raise FootfallError("invalid resonance mode", persona=self.name, mode=mode)
-        for name in ("step_frequency_mean", "speed_mean"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise FootfallError(f"{name} must be finite and positive",
-                                    persona=self.name, **{name: v})
-        if not (math.isfinite(self.step_frequency_var) and self.step_frequency_var >= 0):
-            raise FootfallError("step_frequency_var must be finite and nonnegative",
-                                persona=self.name, step_frequency_var=self.step_frequency_var)
+        try:
+            _as_positive(self.impact_force_scale, "impact_force_scale", zero_ok=True)
+            if not 0.0002 <= _as_positive(self.impact_duration_s, "impact_duration_s") <= 0.05:
+                raise FootfallError("impact_duration_s out of range",
+                                    impact_duration_s=self.impact_duration_s)
+            if not self.modes:
+                raise FootfallError("persona needs at least one resonance mode")
+            for mode in self.modes:
+                try:
+                    f, d, a = mode
+                except (TypeError, ValueError):
+                    raise FootfallError("resonance mode must be a (frequency, damping, amplitude)"
+                                        " triple", mode=repr(mode)) from None
+                for value, zero_ok in ((f, False), (d, False), (a, True)):
+                    _as_positive(value, "mode", zero_ok)
+            _as_positive(self.step_frequency_mean, "step_frequency_mean")
+            _as_positive(self.step_frequency_var, "step_frequency_var", zero_ok=True)
+            _as_positive(self.speed_mean, "speed_mean")
+        except FootfallError as err:
+            err.details["persona"] = self.name
+            raise
 
     @property
     def max_mode_hz(self) -> float:
         return max(f for f, _, _ in self.modes)
 
-    def perturbed(self, rng: np.random.Generator, force_jitter=0.10, amp_jitter=0.06, duration_jitter=0.05):
+    def perturbed(self, rng: np.random.Generator):
         """Per-step natural variation; draws are consumed in a fixed order."""
-        force = self.impact_force_scale * (1.0 + force_jitter * rng.standard_normal())
-        dur = self.impact_duration_s * (1.0 + duration_jitter * rng.standard_normal())
+        force = self.impact_force_scale * (1.0 + _FORCE_JITTER * rng.standard_normal())
+        dur = self.impact_duration_s * (1.0 + _DURATION_JITTER * rng.standard_normal())
         modes = tuple(
-            (f, d, a * max(0.0, 1.0 + amp_jitter * rng.standard_normal())) for f, d, a in self.modes
+            (f, d, a * max(0.0, 1.0 + _AMP_JITTER * rng.standard_normal()))
+            for f, d, a in self.modes
         )
         return replace(
             self,
@@ -146,6 +145,7 @@ def _mode_response(freq: float, damping: float, amplitude: float, sample_rate: i
 
 def footstep_parts(persona: FootstepPersona, material: FloorMaterial, sample_rate: int) -> FootstepParts:
     """Synthesize the templates shared by every microphone."""
+    sample_rate = _as_whole(sample_rate, "sample_rate")
     if persona.max_mode_hz >= 0.5 * sample_rate:
         raise FootfallError(
             "persona mode at or above Nyquist",
@@ -192,12 +192,14 @@ def dispersive_delay(
     The output is padded so the slowest arrival fits without wrapping.
     """
     _check_range(range_m, np.inf)
+    x = _as_float_array(x, "x", (None,))
+    sample_rate = _as_whole(sample_rate, "sample_rate")
     n = _dispersed_length(x.size, material, range_m, sample_rate)
     return _disperse(np.fft.rfft(x, n), n, material, range_m, sample_rate)
 
 
 def _check_range(range_m: float, limit: float):
-    if not (np.isfinite(range_m) and 0 < range_m <= limit):
+    if _as_positive(range_m, "range_m") > limit:
         raise FootfallError("range out of bounds", range_m=range_m)
 
 
@@ -242,8 +244,7 @@ def place_footstep(
     offset is the sample index of the impact instant. Returns the buffer.
     """
     _check_range(range_m, 150.0)
-    if offset < 0:
-        raise FootfallError("offset must be nonnegative", offset=offset)
+    offset = _as_whole(offset, "offset", zero_ok=True)
     fs = parts.sample_rate
     air_delay = int(round(fs * range_m / material.air_speed))
     dispersed = None

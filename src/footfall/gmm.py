@@ -15,21 +15,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import FootfallError
+from .types import _as_float_array, _as_whole
 
 VARIANCE_FLOOR = 1e-6
 _TOL = 1e-6
 _MAX_ITER = 200
 _RESTARTS = 5
+_LLOYD_ITERS = 15  # k-means sweeps of each restart
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _as_frames(features) -> np.ndarray:
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise FootfallError("features must be a (n_frames, dim) matrix", shape=list(X.shape))
-    if not np.all(np.isfinite(X)):
-        raise FootfallError("features contain non-finite values")
-    return X
 
 
 @dataclass
@@ -42,13 +35,9 @@ class GmmModel:
     history: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        k = self.weights.size
-        if self.means.shape[0] != k or self.variances.shape != self.means.shape:
-            raise FootfallError("component shapes disagree", k=k,
-                                means=list(self.means.shape))
+        self.weights = _as_float_array(self.weights, "weights", (None,))
+        self.means = _as_float_array(self.means, "means", (self.weights.size, None))
+        self.variances = _as_float_array(self.variances, "variances", self.means.shape)
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise FootfallError("weights must form a distribution",
                                 total=float(self.weights.sum()))
@@ -71,10 +60,9 @@ class GmmModel:
 
     def log_likelihoods(self, features) -> np.ndarray:
         """Per-frame log density under the mixture."""
-        X = _as_frames(features)
-        if X.shape[1] != self.feature_dim:
-            raise FootfallError("feature dimension mismatch",
-                                got=X.shape[1], expected=self.feature_dim)
+        X = _as_float_array(features, "features", (None, self.feature_dim))
+        if X.shape[0] == 0:
+            raise FootfallError("features need at least one frame", argument="features")
         return logsumexp(self._component_log_densities(X), axis=1)
 
     def mean_log_likelihood(self, features) -> float:
@@ -111,8 +99,8 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(centers)
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int = 15):
-    for _ in range(iters):
+def _lloyd(X: np.ndarray, centers: np.ndarray):
+    for _ in range(_LLOYD_ITERS):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         for j in range(centers.shape[0]):
@@ -128,16 +116,15 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int = 15):
 
 def gmm_fit(features, k: int, seed: int) -> GmmModel:
     """EM fit; deterministic given seed; raises on degenerate data."""
-    X = _as_frames(features)
+    X = _as_float_array(features, "features", (None, None))
     n, d = X.shape
-    if k < 1:
-        raise FootfallError("need at least one component", k=k)
+    k = _as_whole(k, "k")
     if n < 10 * k:
         raise FootfallError("need at least 10 frames per component", frames=n, k=k)
     if np.all(np.ptp(X, axis=0) < 1e-12):
         raise FootfallError("degenerate features: all frames identical")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_whole(seed, "seed", zero_ok=True))
     best = None
     for _ in range(_RESTARTS):
         centers, assign, inertia = _lloyd(X, _kmeans_pp(X, k, rng))
@@ -183,11 +170,10 @@ def gmm_classify(models: dict, segment) -> tuple:
     """
     if not models:
         raise FootfallError("no models to classify against")
-    X = _as_frames(segment)
     scores = {}
     label = None
     for name, model in models.items():
-        scores[name] = model.mean_log_likelihood(X)
+        scores[name] = model.mean_log_likelihood(segment)
         if label is None or scores[name] > scores[label]:
             label = name
     return label, scores

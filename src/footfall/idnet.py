@@ -32,11 +32,13 @@ import hashlib
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FootfallError
+from .types import _as_float_array, _as_positive, _as_whole
 
 PATCH_SHAPE = (32, 16)
 FEATURE_DIM = 16
@@ -49,6 +51,7 @@ _PROB_CLAMP = 1e-12
 VOTING_SCHEMES = {"single": (1, 1), "2-of-3": (2, 3), "3-of-5": (3, 5)}
 
 _CHECKPOINT_VERSION = 3
+_EVAL_BATCH = 256  # patches per forward pass in evaluate_accuracy
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -63,15 +66,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _as_patches(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    """One 32x16 magnitude patch or a stack of them, as an (n, 32, 16) stack."""
+    x = _as_float_array(x, "patches", None, nonnegative=True)
     if x.ndim == 2:
         x = x[None]
-    if x.ndim != 3 or x.shape[1:] != PATCH_SHAPE:
-        raise FootfallError("patches must be 32x16", shape=list(x.shape))
-    if not np.all(np.isfinite(x)):
-        raise FootfallError("patch contains non-finite values")
-    if x.min() < 0:
-        raise FootfallError("magnitude patch must be nonnegative", minimum=float(x.min()))
+    if x.shape[1:] != PATCH_SHAPE:
+        raise FootfallError("patches must be 32x16", argument="patches", shape=list(x.shape))
     return x
 
 
@@ -83,13 +83,11 @@ class IdNet:
     """
 
     def __init__(self, n_users: int, n_domains: int, seed: int = 0):
-        if n_users < 2:
+        self.n_users = _as_whole(n_users, "n_users")
+        if self.n_users < 2:
             raise FootfallError("need at least two users", n_users=n_users)
-        if n_domains < 1:
-            raise FootfallError("need at least one domain", n_domains=n_domains)
-        rng = np.random.default_rng(seed)
-        self.n_users = int(n_users)
-        self.n_domains = int(n_domains)
+        self.n_domains = _as_whole(n_domains, "n_domains")
+        rng = np.random.default_rng(_as_whole(seed, "seed", zero_ok=True))
         # He-scaled filters, 1/sqrt(n_in) dense weights, drawn in this order
         conv1 = rng.normal(0.0, np.sqrt(2.0 / 15), size=(32, 1, 5, 3))
         conv2 = rng.normal(0.0, np.sqrt(2.0 / 192), size=(64, 32, 3, 2))
@@ -312,16 +310,14 @@ class TrainSet:
 
     def __post_init__(self):
         self.x = _as_patches(self.x)
-        self.users = np.asarray(self.users, dtype=np.int64)
-        self.domains = np.asarray(self.domains, dtype=np.int64)
         n = self.x.shape[0]
-        if self.users.shape != (n,) or self.domains.shape != (n,):
-            raise FootfallError("labels do not match the patches", n=n,
-                                users=list(self.users.shape), domains=list(self.domains.shape))
+        for name in ("users", "domains"):  # one whole number >= 0 per patch
+            labels = _as_float_array(getattr(self, name), name, (n,), nonnegative=True)
+            if np.any(labels % 1):
+                raise FootfallError(f"{name} must be whole numbers", argument=name)
+            setattr(self, name, labels.astype(np.int64))
         if np.unique(self.users).size < 2:
             raise FootfallError("dataset must cover at least two users")
-        if self.users.min() < 0 or self.domains.min() < 0:
-            raise FootfallError("labels must be nonnegative")
 
     @property
     def n_users(self) -> int:
@@ -342,13 +338,14 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.15
 
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch < 1:
-            raise FootfallError("epochs and batch must be positive",
-                                epochs=self.epochs, batch=self.batch)
-        if not self.lr > 0:
-            raise FootfallError("learning rate must be positive", lr=self.lr)
-        if not 0.0 <= self.val_fraction < 1.0:
+    def __post_init__(self):  # frozen: the whole numbers are stored as ints
+        for name in ("epochs", "batch", "seed"):
+            value = _as_whole(getattr(self, name), name, zero_ok=name == "seed")
+            object.__setattr__(self, name, value)
+        _as_positive(self.lr, "lr")
+        for name in ("lam", "lam_grl"):
+            _as_positive(getattr(self, name), name, zero_ok=True)
+        if not _as_positive(self.val_fraction, "val_fraction", zero_ok=True) < 1.0:
             raise FootfallError("val_fraction must be in [0, 1)",
                                 val_fraction=self.val_fraction)
 
@@ -360,13 +357,13 @@ class TrainResult:
     log: list = field(default_factory=list)
 
 
-def evaluate_accuracy(net: IdNet, patches, labels, batch: int = 256) -> float:
+def evaluate_accuracy(net: IdNet, patches, labels) -> float:
     x = _as_patches(patches)
     labels = np.asarray(labels)
     hits = 0
-    for lo in range(0, x.shape[0], batch):
-        _, pu, _ = forward(net, x[lo:lo + batch])
-        hits += int(np.sum(pu.argmax(axis=1) == labels[lo:lo + batch]))
+    for lo in range(0, x.shape[0], _EVAL_BATCH):
+        _, pu, _ = forward(net, x[lo:lo + _EVAL_BATCH])
+        hits += int(np.sum(pu.argmax(axis=1) == labels[lo:lo + _EVAL_BATCH]))
     return hits / max(1, labels.size)
 
 
@@ -449,7 +446,7 @@ def voting_accuracy(p: float, voting: str) -> float:
     """Closed-form accuracy of k-of-n voting from per-step accuracy p."""
     if voting not in VOTING_SCHEMES:
         raise FootfallError("unknown voting scheme", voting=voting)
-    if not 0.0 <= p <= 1.0:
+    if not _as_positive(p, "p", zero_ok=True) <= 1.0:
         raise FootfallError("per-step accuracy must be a probability", p=p)
     k, n = VOTING_SCHEMES[voting]
     return float(sum(math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
@@ -468,28 +465,33 @@ def save_checkpoint(path, net: IdNet, centers: np.ndarray) -> None:
     meta = {"version": _CHECKPOINT_VERSION, "n_users": net.n_users,
             "n_domains": net.n_domains, "arch_hash": _architecture_hash(net)}
     arrays = {f"param_{i:03d}": a for i, a in enumerate(net.params())}
-    arrays.update(net.running, centers=np.asarray(centers, dtype=np.float64))
+    arrays.update(net.running, centers=_as_float_array(centers, "centers",
+                                                          (net.n_users, FEATURE_DIM)))
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path):
-    """Rebuild (net, centers) from a checkpoint, refusing stale formats."""
-    with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["__meta__"]))
-        if meta.get("version") != _CHECKPOINT_VERSION:
-            raise FootfallError("unsupported checkpoint version",
-                                version=meta.get("version"))
-        net = IdNet(meta["n_users"], meta["n_domains"])
-        for i, (name, a) in enumerate(net.p.items()):
-            stored = blob[f"param_{i:03d}"]
-            if stored.shape != a.shape:
-                raise FootfallError("checkpoint does not fit the architecture",
-                                    param=i, stored=list(stored.shape),
-                                    expected=list(a.shape))
-            net.p[name] = stored.astype(np.float64)
-        for name in net.running:
-            net.running[name] = blob[name].astype(np.float64)
-        centers = blob["centers"].astype(np.float64)
-    if _architecture_hash(net) != meta["arch_hash"]:
-        raise FootfallError("architecture hash mismatch")
+    """Rebuild (net, centers) from a checkpoint, refusing stale or foreign files."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["__meta__"]))
+            if meta.get("version") != _CHECKPOINT_VERSION:
+                raise FootfallError("unsupported checkpoint version",
+                                    version=meta.get("version"))
+            net = IdNet(meta["n_users"], meta["n_domains"])
+            for i, (name, a) in enumerate(net.p.items()):
+                stored = blob[f"param_{i:03d}"]
+                if stored.shape != a.shape:
+                    raise FootfallError("checkpoint does not fit the architecture",
+                                        param=i, stored=list(stored.shape),
+                                        expected=list(a.shape))
+                net.p[name] = stored.astype(np.float64)
+            for name in net.running:
+                net.running[name] = blob[name].astype(np.float64)
+            centers = blob["centers"].astype(np.float64)
+        if _architecture_hash(net) != meta["arch_hash"]:
+            raise FootfallError("architecture hash mismatch")
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise FootfallError("not a footfall checkpoint", path=str(path),
+                            reason=str(err)) from None
     return net, centers

@@ -14,15 +14,13 @@ order, so the chorus has the same bits on any number of cores.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import FootfallError
-from .types import Waveform, _as_whole
+from .types import Waveform, _as_positive, _as_real, _as_whole
 
 VOICE_TOP_HZ = 3800.0
 _BREATH_LO_HZ = 300.0
@@ -34,9 +32,7 @@ _WORKERS = 2  # threads that run the talkers' harmonic sums
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-RMS white noise, n samples."""
-    if n <= 0:
-        raise FootfallError("sample count must be positive", n=n)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(_as_whole(n, "n"))
     return x / np.sqrt(np.mean(x * x))
 
 
@@ -46,6 +42,7 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     White noise is shaped in the frequency domain by 1/sqrt(f); the DC bin is
     zeroed. Equal energy per octave, 3 dB down per octave in density.
     """
+    n = _as_whole(n, "n")
     if n < 2:  # the shaping needs a bin above DC
         raise FootfallError("pink noise needs at least two samples", n=n)
     spectrum = np.fft.rfft(rng.standard_normal(n))
@@ -137,12 +134,10 @@ def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
            n_talkers: int = 4, pitch_lo: float = 110.0, pitch_hi: float = 290.0) -> Waveform:
     """Unit-RMS chorus of n_talkers synthetic voices."""
     sample_rate = _as_whole(sample_rate, "sample_rate")
-    if not (np.isfinite(duration_s) and duration_s > 0):
-        raise FootfallError("duration must be positive and finite", duration_s=duration_s)
-    if not (isinstance(n_talkers, numbers.Integral) and n_talkers >= 1):
-        raise FootfallError("need a whole number of talkers, at least one",
-                            n_talkers=n_talkers)
-    if not 110.0 <= pitch_lo < pitch_hi < math.inf:  # false for NaN
+    duration_s = _as_positive(duration_s, "duration_s")
+    n_talkers = _as_whole(n_talkers, "n_talkers")
+    pitch_lo, pitch_hi = _as_real(pitch_lo, "pitch_lo"), _as_real(pitch_hi, "pitch_hi")
+    if not 110.0 <= pitch_lo < pitch_hi:
         raise FootfallError("pitch range must be finite and sit at or above 110 Hz",
                             pitch_lo=pitch_lo, pitch_hi=pitch_hi)
     n = int(round(duration_s * sample_rate))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .dsp import stft
-from .types import Waveform
+from .types import Waveform, _as_float_array
 
 _LOG_FLOOR = 1e-30
 _N_FILTERS = 26
@@ -21,11 +21,11 @@ _N_COEFFS = 13
 
 
 def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+    return 2595.0 * np.log10(1.0 + _as_float_array(f, "f", None, nonnegative=True) / 700.0)
 
 
 def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+    return 700.0 * (10.0 ** (_as_float_array(m, "m", None) / 2595.0) - 1.0)
 
 
 @functools.lru_cache(maxsize=32)

@@ -35,11 +35,10 @@ dispatch per sweep. A smaller fit sweeps whole on the calling thread and
 starts no thread. The shares of the template step and of the divergence
 are added in a fixed order, so the result never depends on the core count
 or on thread timing. nmf_separate divides the power by its
-peak and rounds it to float32 once, so every fit, the refinement pass's
-included, sweeps the same bits at any mixture level, as long as no bin
-holds only FFT rounding noise. A capture below 16 kHz, upsampled, has such
-bins above its own Nyquist frequency; the refinement pass sees them, and
-at 8 kHz its stem moved by 8e-8 of its peak between levels.
+peak, rounds it to float32 once and zeroes the bins above the capture's
+own Nyquist frequency, which hold only FFT rounding noise once a capture
+below 16 kHz is upsampled; so every fit, the refinement pass's included,
+sweeps the same bits at any mixture level.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from scipy.signal import resample_poly
 
 from .dsp import analyze_padded, synthesize_padded
 from .errors import FootfallError
-from .types import Waveform
+from .types import Waveform, _as_float_array, _as_positive, _as_whole
 
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
@@ -95,26 +94,11 @@ class NmfModel:
     r_voice: int
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.h = np.asarray(self.h, dtype=np.float64)
-        if self.r_footstep < 1 or self.r_voice < 1:
-            raise FootfallError(
-                "component split needs at least one component per source",
-                r_footstep=self.r_footstep,
-                r_voice=self.r_voice,
-            )
+        self.r_footstep = _as_whole(self.r_footstep, "r_footstep")
+        self.r_voice = _as_whole(self.r_voice, "r_voice")
         r = self.r_footstep + self.r_voice
-        if self.w.ndim != 2 or self.h.ndim != 2 or self.w.shape[1] != r or self.h.shape[0] != r:
-            raise FootfallError(
-                "w/h shapes do not match the component split",
-                w_shape=tuple(self.w.shape),
-                h_shape=tuple(self.h.shape),
-                r=r,
-            )
-        if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.h))):
-            raise FootfallError("model entries must be finite")
-        if np.any(self.w < 0.0) or np.any(self.h < 0.0):
-            raise FootfallError("model entries must be nonnegative")
+        self.w = _as_float_array(self.w, "w", (None, r), nonnegative=True)
+        self.h = _as_float_array(self.h, "h", (r, None), nonnegative=True)
         col = self.w.sum(axis=0)
         if np.any(np.abs(col - 1.0) > 1e-6):
             raise FootfallError(
@@ -154,9 +138,7 @@ def onset_comb(power: np.ndarray, period_frames: float,
     never drift into modelling the continuous interference. When no clear
     impact stands out, every frame is opened.
     """
-    if not (math.isfinite(period_frames) and period_frames > 0):
-        raise FootfallError("comb period must be finite and positive",
-                            period_frames=period_frames)
+    period_frames = _as_positive(period_frames, "period_frames")
     energy = _frame_energy(power)
     n = energy.size
     min_gap = max(1, int(round(0.6 * period_frames)))
@@ -176,26 +158,11 @@ def onset_comb(power: np.ndarray, period_frames: float,
 
 
 def _floored(power) -> np.ndarray:
-    p = np.asarray(power, dtype=np.float64)
-    if p.ndim != 2:
-        raise FootfallError("power spectrogram must be 2-d", ndim=p.ndim)
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise FootfallError("power spectrogram must be finite and nonnegative")
+    p = _as_float_array(power, "power", (None, None), nonnegative=True)
     peak = float(p.max()) if p.size else 0.0
     if peak <= 0.0:
         raise FootfallError("mixture has no energy")
     return np.maximum(p, _POWER_FLOOR * peak)
-
-
-def _given_start(x, name: str, shape: tuple) -> np.ndarray:
-    """A caller's voice_w or foot_h as float64, of the right shape, finite and >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != shape:
-        raise FootfallError(f"{name} has the wrong shape", argument=name,
-                            got=tuple(x.shape), want=shape)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise FootfallError(f"{name} must be finite and nonnegative", argument=name)
-    return x
 
 
 class _Half:
@@ -392,20 +359,19 @@ def nmf_fit(power: np.ndarray, foot_h: np.ndarray,
     nmf_separate lowers it to QUIET_ITERS for a blind fit over a weak noise
     floor.
     """
-    if not isinstance(iters, (int, np.integer)) or iters < 1:
-        raise FootfallError("iters must be a positive integer", iters=iters)
+    iters = _as_whole(iters, "iters")
     if rng is None:
         rng = np.random.default_rng(0)
     p = _floored(power)
     q, n_frames = p.shape
     rf = R_FOOTSTEP
     if voice_w is not None:
-        voice_w = _given_start(voice_w, "voice_w", (q, R_VOICE))
+        voice_w = _as_float_array(voice_w, "voice_w", (q, R_VOICE), nonnegative=True)
         worst = float(np.max(np.abs(voice_w.sum(axis=0) - 1.0)))
         if worst > 1e-6:
             raise FootfallError("voice_w columns must have unit L1 norm",
                                 argument="voice_w", worst=worst)
-    foot_h = _given_start(foot_h, "foot_h", (rf, n_frames))
+    foot_h = _as_float_array(foot_h, "foot_h", (rf, n_frames), nonnegative=True)
     w = np.empty((q, rf + R_VOICE))
     w[:, :rf] = rng.uniform(0.1, 1.0, size=(q, rf))
     w[:, :rf] /= w[:, :rf].sum(axis=0, keepdims=True)
@@ -443,7 +409,7 @@ def _stationarity_gap(power: np.ndarray) -> float:
     level; a voice swings by tens of dB from syllable to pause and raises
     it, however weak.
     """
-    low = np.maximum(np.asarray(power, dtype=np.float64)[:_GAP_BINS], _POWER_FLOOR)
+    low = np.maximum(power[:_GAP_BINS], _POWER_FLOOR)
     return float(np.mean(np.log(low.mean(axis=1)) - np.log(low).mean(axis=1)))
 
 
@@ -480,8 +446,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     hold a weak stationary floor (_weak_noise_floor), and ITERS otherwise:
     over a voice, however weak, or when there are no step-free frames.
     """
-    if not (math.isfinite(step_freq) and step_freq > 0):
-        raise FootfallError("step frequency must be finite and positive", step_freq=step_freq)
+    step_freq = _as_positive(step_freq, "step_freq")
     if rng is None:
         rng = np.random.default_rng(0)
     fs = mix.sample_rate
@@ -497,6 +462,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # of the power over its peak: the rounding of a later, level-dependent
     # array could flip an entry between mixture levels.
     power = (power / peak).astype(np.float32).astype(np.float64)
+    # Above the capture's Nyquist frequency an upsampled capture holds only
+    # FFT rounding noise, which would reach the refinement input unfloored.
+    power[np.fft.rfftfreq(_WINDOW_LEN, 1 / _RATE) > fs / 2] = 0.0
     period = _RATE / _HOP / step_freq
     quiet = step_free_frames(power)
     # Footstep activations start confined to the observed impacts in both

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FootfallError
-from .types import Spectrogram
+from .types import Spectrogram, _as_float_array, _as_positive
 
 PACE_BAND_HZ = (0.8, 2.0)
 MARGIN_DB = 10.0
@@ -33,13 +33,9 @@ class Asacc:
     b: np.ndarray
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.b.ndim != 1 or self.b.size < 1:
-            raise FootfallError("b must be a nonempty vector")
-        if not np.all(np.isfinite(self.b)):
-            raise FootfallError("b must be finite")
-        if abs(self.b[0] - 1.0) > 1e-9:
-            raise FootfallError("b must be normalized to b[0] = 1", b0=float(self.b[0]))
+        self.b = _as_float_array(self.b, "b", (None,))
+        if not (self.b.size and abs(self.b[0] - 1.0) <= 1e-9):
+            raise FootfallError("b must be normalized to b[0] = 1", b0=self.b[:1].tolist())
 
     def __len__(self) -> int:
         return self.b.size
@@ -111,8 +107,7 @@ def rhythm_present(b: Asacc, frame_rate: float) -> StepRhythm:
     """
     if len(b) < 2 * _LOOKAHEAD:
         raise FootfallError("b too short for 20-bin lookahead", length=len(b))
-    if frame_rate <= 0:
-        raise FootfallError("frame rate must be positive", frame_rate=frame_rate)
+    frame_rate = _as_positive(frame_rate, "frame_rate")
     x = b.b - b.b.mean()
     m = np.abs(np.fft.rfft(x))
     freqs = np.fft.rfftfreq(x.size, 1.0 / frame_rate)

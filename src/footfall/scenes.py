@@ -22,7 +22,6 @@ cores.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,8 @@ from .errors import FootfallError
 from .floors import FloorMaterial
 from .footsteps import FootstepPersona, footstep_parts, place_footstep
 from .interferers import pink_noise, white_noise
-from .types import MultichannelWaveform, Waveform, _as_whole
+from .types import (MultichannelWaveform, Waveform, _as_float_array, _as_positive, _as_real,
+                    _as_whole)
 
 SCENE_BOUND_M = 50.0
 NOISE_KINDS = ("white", "pink")
@@ -43,14 +43,7 @@ def _stream(seed: int, tag: str) -> np.random.Generator:
     """Independent generator for one purpose within one scene."""
     digest = hashlib.sha256(tag.encode()).digest()[:8]
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int.from_bytes(digest, "little")]))
-
-
-def _point(p, name: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64).reshape(-1)
-    if arr.size != 2 or not np.all(np.isfinite(arr)):
-        raise FootfallError(f"{name} must be a finite 2D point", value=list(np.asarray(p).ravel()))
-    return arr
+        np.random.SeedSequence([seed, int.from_bytes(digest, "little")]))
 
 
 @dataclass
@@ -61,15 +54,10 @@ class Trajectory:
     positions: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.positions.ndim != 2 or self.positions.shape != (self.times.size, 2):
-            raise FootfallError("positions must be (k, 2) matching times",
-                                shape=list(self.positions.shape))
+        self.times = _as_float_array(self.times, "times", (None,))
         if self.times.size < 1:
             raise FootfallError("trajectory needs at least one waypoint")
-        if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.positions)):
-            raise FootfallError("trajectory must be finite")
+        self.positions = _as_float_array(self.positions, "positions", (self.times.size, 2))
         dt = np.diff(self.times)
         if np.any(dt <= 0):
             raise FootfallError("waypoint times must be strictly increasing")
@@ -108,12 +96,9 @@ class MicArray:
     positions: np.ndarray
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2 or self.positions.shape[0] < 1:
-            raise FootfallError("positions must be (n, 2) with n >= 1",
-                                shape=list(self.positions.shape))
-        if not np.all(np.isfinite(self.positions)):
-            raise FootfallError("microphone positions must be finite")
+        self.positions = _as_float_array(self.positions, "positions", (None, 2))
+        if self.positions.shape[0] < 1:
+            raise FootfallError("array needs at least one microphone")
         deltas = self.positions[:, None, :] - self.positions[None, :, :]
         gaps = np.linalg.norm(deltas, axis=2)
         n = self.positions.shape[0]
@@ -152,11 +137,11 @@ class Walker:
     perturb_steps: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.stance_width <= 0.5:  # NaN fails the chain
+        if not _as_positive(self.stance_width, "stance_width", zero_ok=True) <= 0.5:
             raise FootfallError("stance width out of range", stance_width=self.stance_width)
         if self.step_times is not None:
-            self.step_times = np.asarray(self.step_times, dtype=np.float64).reshape(-1)
-            if self.step_times.size and np.any(np.diff(self.step_times) <= 0):
+            self.step_times = _as_float_array(self.step_times, "step_times", (None,))
+            if np.any(np.diff(self.step_times) <= 0):
                 raise FootfallError("step times must be strictly increasing")
 
 
@@ -169,7 +154,8 @@ class AirSource:
     gain: float = 1.0
 
     def __post_init__(self):
-        self.position = _point(self.position, "source position")
+        self.position = _as_float_array(self.position, "position", (2,))
+        self.gain = _as_real(self.gain, "gain")
 
 
 @dataclass
@@ -191,10 +177,12 @@ class Scene:
     def __post_init__(self):
         self.walkers = tuple(self.walkers)
         self.voices = tuple(self.voices)
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise FootfallError("duration must be finite and positive",
-                                duration_s=self.duration_s)
+        self.duration_s = _as_positive(self.duration_s, "duration_s")
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
+        self.seed = _as_whole(self.seed, "seed", zero_ok=True)
+        for target in ("target_snr_db", "target_sir_db"):
+            if getattr(self, target) is not None:
+                setattr(self, target, _as_real(getattr(self, target), target))
         if self.noise_kind is not None and self.noise_kind not in NOISE_KINDS:
             raise FootfallError("unknown noise kind", noise_kind=self.noise_kind)
         names = [w.persona.name for w in self.walkers]
@@ -416,8 +404,10 @@ def natural_walk(persona: FootstepPersona, start, end, rng: np.random.Generator,
     so the per-step speed is stride * f: speed and cadence rise and fall
     together, the signature of a live walker.
     """
-    start = _point(start, "start")
-    end = _point(end, "end")
+    start = _as_float_array(start, "start", (2,))
+    end = _as_float_array(end, "end", (2,))
+    start_time = _as_real(start_time, "start_time")
+    stride_noise = _as_positive(stride_noise, "stride_noise", zero_ok=True)
     span = end - start
     length = float(np.linalg.norm(span))
     if length < 1e-9:
@@ -452,8 +442,8 @@ def emulate_attack(scene: Scene, attacker_pos, playback_pos) -> Scene:
     that recording played back from a static position, normalized to unit
     peak. Ambient noise settings carry over; the result is marked replayed.
     """
-    attacker_pos = _point(attacker_pos, "attacker position")
-    playback_pos = _point(playback_pos, "playback position")
+    attacker_pos = _as_float_array(attacker_pos, "attacker_pos", (2,))
+    playback_pos = _as_float_array(playback_pos, "playback_pos", (2,))
     tap = replace(scene, array=MicArray(attacker_pos[None, :]),
                   noise_kind=None, voices=())
     recording, _ = render_scene(tap)

@@ -6,6 +6,7 @@ captures use MultichannelWaveform with shape (n_channels, n_samples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,29 +14,71 @@ import numpy as np
 from .errors import FootfallError
 
 
-def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise FootfallError(f"{name} must be {ndim}-dimensional", shape=list(arr.shape))
-    if not np.all(np.isfinite(arr)):
-        raise FootfallError(f"{name} contains non-finite samples")
-    return arr
+def _as_real(x, name: str) -> float:
+    """x as a finite float; otherwise a FootfallError that calls it name.
+
+    A string, a bool or a complex number is refused though float() would
+    take "512", True or the real part of 1+2j.
+    """
+    try:
+        if isinstance(x, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+            raise TypeError
+        value = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise FootfallError(f"{name} must be a real number", **{name: repr(x)}) from None
+    if not math.isfinite(value):
+        raise FootfallError(f"{name} must be finite", **{name: x})
+    return value
 
 
 def _as_whole(x, name: str, zero_ok: bool = False) -> int:
     """x as an int when it is a positive whole number (48000.0 passes,
     16000.7 does not), or zero when zero_ok; otherwise a FootfallError that
     calls it name."""
-    try:
-        if isinstance(x, (str, bytes, bool, np.bool_)):  # float() would take "512" and True
-            raise TypeError
-        value = float(x)
-    except (TypeError, ValueError):
-        raise FootfallError(f"{name} must be a number", **{name: repr(x)}) from None
-    if not (value.is_integer() and (value > 0 or zero_ok and value == 0)):  # false for NaN, +-inf
+    value = _as_real(x, name)
+    if not (value.is_integer() and (value >= 0 if zero_ok else value > 0)):
         kind = "whole number >= 0" if zero_ok else "positive whole number"
         raise FootfallError(f"{name} must be a {kind}", **{name: x})
-    return int(value)
+    return int(x) if isinstance(x, (int, np.integer)) else int(value)  # exact past 2**53
+
+
+def _as_positive(x, name: str, zero_ok: bool = False) -> float:
+    """x as a float when it is finite and positive, or zero when zero_ok;
+    otherwise a FootfallError that calls it name."""
+    value = _as_real(x, name)
+    if not (value >= 0 if zero_ok else value > 0):
+        raise FootfallError(f"{name} must be {'>= 0' if zero_ok else 'positive'}", **{name: x})
+    return value
+
+
+def _as_float_array(x, name: str, shape: tuple | None, nonnegative: bool = False) -> np.ndarray:
+    """x as a finite float64 array, >= 0 throughout when nonnegative.
+
+    shape is the shape it must have, None in it matching any length; a
+    shape of None takes any shape. Otherwise a FootfallError with the
+    argument's name and shape (None when x is ragged).
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # ragged
+        raise FootfallError(f"{name} must be a rectangular array", argument=name,
+                            shape=None) from None
+    problem = None
+    if arr.dtype.kind not in "iuf":  # not bool, complex, str or object
+        problem = f"must hold real numbers, not {arr.dtype}"
+    elif shape is not None and (arr.ndim != len(shape) or any(
+            want is not None and want != got for got, want in zip(arr.shape, shape))):
+        problem = "must have shape ({})".format(
+            ", ".join("n" if n is None else str(n) for n in shape))
+    else:
+        arr = arr.astype(np.float64, copy=False)
+        if not np.isfinite(arr).all():
+            problem = "must be finite"
+        elif nonnegative and (arr < 0.0).any():
+            problem = "must be nonnegative"
+    if problem:
+        raise FootfallError(f"{name} {problem}", argument=name, shape=list(arr.shape))
+    return arr
 
 
 @dataclass
@@ -46,7 +89,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = _as_float_array(self.samples, "samples", 1)
+        self.samples = _as_float_array(self.samples, "samples", (None,))
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
 
     @property
@@ -65,7 +108,7 @@ class MultichannelWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = _as_float_array(self.samples, "samples", 2)
+        self.samples = _as_float_array(self.samples, "samples", (None, None))
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
 
     @property
@@ -95,7 +138,10 @@ class Spectrogram:
     sample_rate: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        try:
+            self.values = np.asarray(self.values)
+        except ValueError:  # ragged
+            raise FootfallError("values must be a rectangular array", shape=None) from None
         self.window_len = _as_whole(self.window_len, "window_len")
         self.hop = _as_whole(self.hop, "hop")
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,12 @@ def read_wav(path) -> Waveform | MultichannelWaveform:
     path = Path(path)
     if not path.exists():
         raise FootfallError("wav file not found", path=str(path))
-    rate, data = wavfile.read(str(path))
+    try:
+        with warnings.catch_warnings():  # a truncated file is an error, not a short read
+            warnings.filterwarnings("error", "Reached EOF", wavfile.WavFileWarning)
+            rate, data = wavfile.read(str(path))
+    except (ValueError, struct.error, wavfile.WavFileWarning) as err:
+        raise FootfallError("unreadable wav file", path=str(path), reason=str(err)) from None
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM16_SCALE
     elif data.dtype == np.int32:

@@ -80,7 +80,9 @@ def test_score_rejects_impossible_pairs():
 
 
 def _bad(x, kind):
-    """x with one NaN sample, or x stacked into two rows."""
+    """x with one NaN sample, x stacked into two rows, or a string."""
+    if kind == "str":
+        return "a"
     if kind == "nan":
         x = x.copy()
         x[7] = np.nan
@@ -88,7 +90,7 @@ def _bad(x, kind):
     return np.stack([x, x])
 
 
-@pytest.mark.parametrize("kind", ["nan", "2-d"])
+@pytest.mark.parametrize("kind", ["nan", "2-d", "str"])
 @pytest.mark.parametrize("name", ["estimate", "target", "interferers", "noise"])
 def test_decompose_names_a_non_finite_or_multi_dim_input(capfd, name, kind):
     t, i, n, a = _orthonormal_signals()

@@ -83,6 +83,13 @@ def test_gate_threshold_rejects_a_zero_frame(gate, frame):
     assert err.value.details == {"frame": frame}
 
 
+@pytest.mark.parametrize("threshold", ["0.1", float("nan")], ids=["str", "nan"])
+def test_energy_gate_rejects_a_threshold_that_is_not_a_finite_number(threshold):
+    with pytest.raises(FootfallError) as err:
+        energy_gate(Waveform(np.ones(FS), FS), 160, threshold)
+    assert "threshold" in err.value.details
+
+
 def test_classification_features_drop_level():
     clip = Waveform(babble(0.5, FS, np.random.default_rng(2)).samples, FS)
     loud = Waveform(8.0 * clip.samples, FS)

@@ -174,12 +174,14 @@ def _values_with(kind):
         values = values[0]
     elif kind == "real":
         values = np.abs(values)
+    elif kind == "ragged":
+        values = [list(values[0]), list(values[1, 1:])]
     return values
 
 
 @pytest.mark.parametrize("kind, detail", [("nan", "non_finite"), ("inf", "non_finite"),
                                           ("shape", "shape"), ("flat", "shape"),
-                                          ("real", "dtype")])
+                                          ("real", "dtype"), ("ragged", "shape")])
 def test_spectrogram_values_must_be_finite_complex_and_shaped_like_magnitudes(kind, detail):
     with pytest.raises(FootfallError) as err:
         Spectrogram(_values_with(kind), 512, 256, 16000)
@@ -212,6 +214,17 @@ def test_synthesize_padded_takes_any_span_inside_the_inverse():
     assert synthesize_padded(spec, offset, 0).samples.size == 0
     assert np.array_equal(synthesize_padded(spec, 0.0, full.size).samples, full)
     assert synthesize_padded(spec, full.size, 0).samples.size == 0
+
+
+@pytest.mark.parametrize("make, samples", [
+    (Waveform, "abc"), (Waveform, [[0.0, 1.0], [2.0]]), (Waveform, np.ones(4, complex)),
+    (Waveform, [True, False]), (Waveform, np.zeros((2, 4))), (MultichannelWaveform, np.zeros(4)),
+    (MultichannelWaveform, np.full((2, 4), np.inf)),
+], ids=["str", "ragged", "complex", "bool", "2-d-mono", "1-d-multichannel", "inf"])
+def test_samples_must_be_a_finite_real_array_of_the_right_rank(make, samples):
+    with pytest.raises(FootfallError) as err:
+        make(samples, 16000)
+    assert err.value.details["argument"] == "samples" and "shape" in err.value.details
 
 
 def _spectrogram(values, sample_rate):

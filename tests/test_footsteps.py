@@ -157,9 +157,11 @@ _NAN = float("nan")
     ("step_frequency_var", float("inf"), "step_frequency_var"),
     ("speed_mean", -0.8, "speed_mean"),
     ("speed_mean", _NAN, "speed_mean"),
+    ("impact_duration_s", "0.002", "impact_duration_s"),
+    ("modes", (("70", 30.0, 1.0),), "mode"),
 ], ids=["pair-mode", "bare-number-mode", "nan-damping", "inf-amplitude", "nan-force",
         "zero-pace", "nan-pace", "negative-pace-var", "inf-pace-var", "negative-speed",
-        "nan-speed"])
+        "nan-speed", "str-duration", "str-mode"])
 def test_persona_rejects_a_malformed_or_non_finite_parameter(field, value, detail):
     fields = dict(name="p", impact_force_scale=1.0, impact_duration_s=0.002,
                   modes=((70.0, 30.0, 1.0),))
@@ -183,6 +185,20 @@ def test_non_finite_range_rejected(r):
     with pytest.raises(FootfallError) as err:
         place_footstep(parts, CONCRETE_SLAB, r)
     assert "range_m" in err.value.details
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: footstep_parts(_persona(), CONCRETE_SLAB, "16000"), "sample_rate"),
+    (lambda: synth_footstep(_persona(), CONCRETE_SLAB, 1.0, 16000.5), "sample_rate"),
+    (lambda: dispersive_delay(np.ones(64), CONCRETE_SLAB, 1.0, 0), "sample_rate"),
+    (lambda: dispersive_delay(np.full(64, np.nan), CONCRETE_SLAB, 1.0, 16000), "argument"),
+    (lambda: place_footstep(footstep_parts(_persona(), CONCRETE_SLAB, 16000), CONCRETE_SLAB,
+                            1.0, offset=2.5), "offset"),
+], ids=["str-rate", "fractional-rate", "zero-rate", "nan-signal", "fractional-offset"])
+def test_bad_rate_signal_or_offset_raises_by_name(make, key):
+    with pytest.raises(FootfallError) as err:
+        make()
+    assert key in err.value.details
 
 
 def test_negative_offset_rejected():

@@ -84,6 +84,20 @@ def test_classify_tie_breaks_to_earliest_class():
     assert scores["foot"] == scores["noise"]
 
 
+@pytest.mark.parametrize("features, k, key", [
+    ("abc", 2, "argument"),
+    (np.full((40, 2), np.nan), 2, "argument"),
+    (np.ones((40, 2)) + 1j, 2, "argument"),
+    (np.arange(80.0).reshape(40, 2), 2.5, "k"),
+    (np.arange(80.0).reshape(40, 2), True, "k"),
+    (np.arange(80.0).reshape(40, 2), 0, "k"),
+], ids=["str-features", "nan-features", "complex-features", "fractional-k", "bool-k", "zero-k"])
+def test_fit_rejects_bad_features_or_component_count(features, k, key):
+    with pytest.raises(FootfallError) as err:
+        gmm_fit(features, k=k, seed=0)
+    assert key in err.value.details
+
+
 def test_classify_rejects_dimension_mismatch():
     rng = np.random.default_rng(10)
     model = gmm_fit(_blob(rng, np.zeros(3), 1.0, 200), k=1, seed=0)

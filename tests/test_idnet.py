@@ -256,6 +256,50 @@ def test_checkpoint_roundtrip(tmp_path, trained):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda: IdNet(2.5, 1), "n_users"),
+    (lambda: IdNet(3, True), "n_domains"),
+    (lambda: IdNet(3, 1, seed=-1), "seed"),
+    (lambda: TrainConfig(epochs=2.5), "epochs"),
+    (lambda: TrainConfig(batch="32"), "batch"),
+    (lambda: TrainConfig(lr=float("nan")), "lr"),
+    (lambda: forward(IdNet(3, 2), "abc"), "argument"),
+    (lambda: forward(IdNet(3, 2), np.full((32, 16), np.inf)), "argument"),
+    (lambda: TrainSet(np.ones((2, 32, 16)), [0.5, 1.5], [0, 0]), "argument"),
+    (lambda: TrainSet(np.ones((2, 32, 16)), [0, 1], ["a", "b"]), "argument"),
+], ids=["fractional-users", "bool-domains", "negative-seed", "fractional-epochs", "str-batch",
+        "nan-lr", "str-patches", "inf-patch", "fractional-labels", "str-labels"])
+def test_bad_net_settings_and_patches_raise_by_name(make, key):
+    with pytest.raises(FootfallError) as err:
+        make()
+    assert key in err.value.details
+    config = TrainConfig(epochs=2.0, batch=np.int64(8))
+    assert type(config.epochs) is int and type(config.batch) is int
+
+
+def _foreign_npz(path):
+    np.savez(path, weights=np.ones(3))
+
+
+def _pickled(path):
+    np.save(path, np.array([{"version": 3}], dtype=object), allow_pickle=True)
+
+
+def _truncated(path):
+    save_checkpoint(path, IdNet(2, 1), np.zeros((2, FEATURE_DIM)))
+    path.write_bytes(path.read_bytes()[:100])
+
+
+@pytest.mark.parametrize("write", [_foreign_npz, _pickled, _truncated],
+                         ids=["foreign-npz", "pickled", "truncated"])
+def test_checkpoint_rejects_a_file_that_is_not_one(tmp_path, write):
+    path = tmp_path / "net.npz"
+    write(path)
+    with pytest.raises(FootfallError) as err:
+        load_checkpoint(path)
+    assert err.value.details["path"] == str(path)
+
+
 def test_checkpoint_rejects_other_versions(tmp_path, trained):
     import json
 

@@ -77,9 +77,9 @@ def _comb(power):
     return onset_comb(power, 20.0, np.random.default_rng(0))
 
 
-@pytest.fixture(scope="module", params=[16000, 48000, 44100])
+@pytest.fixture(scope="module", params=[16000, 48000, 44100, 8000])
 def babble_mix(request):
-    """A 0 dB babble mixture at 16, 48 and 44.1 kHz."""
+    """A 0 dB babble mixture at 16, 48, 44.1 and 8 kHz."""
     mix, _, _ = _mix_parts(seed=3, sir_db=0.0, duration=6.0, fs=request.param)
     return mix
 
@@ -500,8 +500,8 @@ def test_fast_captures_are_fitted_on_the_16k_frames(monkeypatch, wood_walks):
         assert [p.shape[1] for p in inputs] == [frames] * len(inputs), fs
 
 
-@pytest.mark.parametrize("period", [float("nan"), float("inf")],
-                         ids=["onset_comb-nan", "onset_comb-inf"])
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), "3"],
+                         ids=["onset_comb-nan", "onset_comb-inf", "onset_comb-str"])
 def test_combs_reject_a_non_finite_period(period):
     with pytest.raises(FootfallError) as err:
         onset_comb(_random_power(), period, np.random.default_rng(0))
@@ -562,11 +562,12 @@ def test_model_validation_rejects_bad_state():
         NmfModel(w=w, h=h, r_footstep=2, r_voice=2)
 
 
-@pytest.mark.parametrize("iters", [0, 2.5, None])
+@pytest.mark.parametrize("iters", [0, 2.5, None, True])
 def test_fit_rejects_a_bad_sweep_cap(iters):
     with pytest.raises(FootfallError) as err:
         nmf_fit(_random_power(), _comb(_random_power()), iters=iters)
-    assert err.value.details == {"iters": iters}
+    # a value that is not a number is shown as its repr
+    assert err.value.details == {"iters": iters if type(iters) in (int, float) else repr(iters)}
 
 
 def test_fit_rejects_bad_inputs():
@@ -579,11 +580,22 @@ def test_fit_rejects_bad_inputs():
         nmf_fit(bad, foot_h)
 
 
+@pytest.mark.parametrize("kind", ["complex", "nan", "negative", "1-d", "str"])
+def test_fit_rejects_a_power_that_is_not_a_real_nonnegative_matrix(kind):
+    power = _random_power()
+    foot_h = _comb(power)
+    bad = {"complex": power + 1j * power, "nan": np.where(power > 0.9, np.nan, power),
+           "negative": -power, "1-d": power[0], "str": "abc"}[kind]
+    with pytest.raises(FootfallError) as err:
+        nmf_fit(bad, foot_h)
+    assert err.value.details["argument"] == "power"
+
+
 def _noise_mix():
     return Waveform(np.random.default_rng(0).standard_normal(FS), FS)
 
 
-@pytest.mark.parametrize("step_freq", [float("nan"), float("inf"), -float("inf"), 0.0])
+@pytest.mark.parametrize("step_freq", [float("nan"), float("inf"), -float("inf"), 0.0, "1.5"])
 def test_separate_rejects_non_finite_or_non_positive_step_freq(step_freq):
     with pytest.raises(FootfallError) as err:
         nmf_separate(_noise_mix(), step_freq)
@@ -639,13 +651,7 @@ def test_fit_rejects_bad_pinned_starts_by_name(monkeypatch, name, entry):
     (48000, 3, 6.0, 10.0, "blind"),
     (48000, 3, 6.0, 0.0, "pinned"),
     (8000, 4, 8.0, 0.0, "blind"),
-    # An 8 kHz capture, upsampled, holds only FFT rounding noise above 4 kHz.
-    # Its power there sits below the fits' floor, which hides it from the
-    # first passes, but the refinement scales the power by the voice mask
-    # and floors it again, so one flipped entry (a 6e-12 bin at 7.4 kHz)
-    # changes that fit and the stem by 8e-8 of its peak at 1e-3 level.
-    pytest.param(8000, 3, 8.0, 0.0, "pinned", marks=pytest.mark.xfail(
-        strict=True, reason="the refinement input depends on the level at 8 kHz")),
+    (8000, 3, 8.0, 0.0, "pinned"),
     (44100, 3, 6.0, 10.0, "blind"),
     (44100, 4, 8.0, 0.0, "pinned"),
 ])

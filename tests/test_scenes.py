@@ -360,6 +360,44 @@ def test_scene_rejects_a_sample_rate_that_is_not_a_positive_whole_number(rate):
     assert type(_walk_scene(fs=16000.0).sample_rate) is int
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda: _walk_scene(seed=-1), "seed"),
+    (lambda: _walk_scene(seed=1.5), "seed"),
+    (lambda: _walk_scene(duration_s="1"), "duration_s"),
+    (lambda: _walk_scene(voices=(_talk(),), target_sir_db=float("inf")), "target_sir_db"),
+    (lambda: _walk_scene(voices=(_talk(),), target_sir_db=-float("inf")), "target_sir_db"),
+    (lambda: _walk_scene(noise_kind="pink", target_snr_db=float("nan")), "target_snr_db"),
+    (lambda: natural_walk(_persona(), [0, 0], [1, 0], np.random.default_rng(0), start_time="0"),
+     "start_time"),
+    (lambda: natural_walk(_persona(), [0, 0], [1, 0], np.random.default_rng(0), stride_noise=-1),
+     "stride_noise"),
+], ids=["negative-seed", "fractional-seed", "str-duration", "inf-sir", "minus-inf-sir",
+        "nan-snr", "str-walk-start", "negative-stride-noise"])
+def test_scene_rejects_a_bad_setting_by_name(make, key):
+    with pytest.raises(FootfallError) as err:
+        make()
+    assert key in err.value.details and key in err.value.message
+
+
+def _talk():
+    return AirSource(Waveform(np.full(100, 0.1), FS), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("make, argument", [
+    (lambda: Walker(_persona(), _line([0, 0], [1, 0], 2.0), step_times=[np.nan, 1.0]),
+     "step_times"),
+    (lambda: Walker(_persona(), _line([0, 0], [1, 0], 2.0), step_times=[[0.5, 1.0]]),
+     "step_times"),
+    (lambda: MicArray("x"), "positions"),
+    (lambda: Trajectory([0.0, 1.0], [[0.0, 0.0], [0.5, np.inf]]), "positions"),
+    (lambda: AirSource(Waveform(np.zeros(4), FS), [[1.0, 1.0]]), "position"),
+], ids=["nan-step", "2-d-steps", "str-mics", "inf-waypoint", "2-d-source"])
+def test_scene_parts_reject_an_array_that_is_not_finite_or_of_the_wrong_shape(make, argument):
+    with pytest.raises(FootfallError) as err:
+        make()
+    assert err.value.details["argument"] == argument
+
+
 @pytest.mark.parametrize("width", [float("nan"), -0.1, 0.6])
 def test_walker_rejects_a_stance_width_outside_0_to_half_a_metre(width):
     with pytest.raises(FootfallError) as err:

@@ -47,6 +47,16 @@ def test_unknown_encoding(tmp_path):
         write_wav(tmp_path / "u.wav", Waveform(np.zeros(10), 16000), "mp3")
 
 
+@pytest.mark.parametrize("keep", [10, 30, 60, 102], ids=["riff", "fmt", "data-header", "data"])
+def test_truncated_file_raises_with_the_path(tmp_path, keep):
+    path = tmp_path / "t.wav"
+    write_wav(path, Waveform(np.zeros(1000), 16000), "float32")
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FootfallError) as err:
+        read_wav(path)
+    assert err.value.details["path"] == str(path)
+
+
 def test_missing_file():
     with pytest.raises(FootfallError):
         read_wav("/nonexistent/nothing.wav")
