@@ -11,7 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FootfallError
-from .types import Spectrogram, Waveform, _as_float_array, _as_positive, _as_whole
+from .types import (Spectrogram, Waveform, _as_float_array, _as_positive, _as_whole,
+                    _check_instance)
 
 # Relative floor under which the overlap-add weight is treated as zero.
 _OLA_FLOOR = 1e-8
@@ -101,6 +102,7 @@ def stft(w: Waveform, window_len: int = 512, hop: int = 256) -> Spectrogram:
     Frames lie fully inside the signal (no padding), so shifting the input by
     one hop shifts the frame axis by exactly one column.
     """
+    _check_instance(w, Waveform, "w")
     window_len, hop = _check_hop(window_len, hop)
     frames = _frame(w.samples, window_len, hop)
     window = hann_window(window_len)
@@ -115,6 +117,7 @@ def istft(spec: Spectrogram) -> Waveform:
     the original signal to well below 1e-6 RMS; edge samples are attenuated
     where the window weight vanishes.
     """
+    _check_instance(spec, Spectrogram, "spec")
     window_len, hop = _check_hop(spec.window_len, spec.hop)  # its fields can be reassigned
     z = spec.values
     if z.shape[1] == 0:
@@ -175,6 +178,7 @@ def analyze_padded(w: Waveform, window_len: int, hop: int) -> tuple[Spectrogram,
     Returns the spectrogram and the offset of the first original sample;
     synthesize_padded inverts it back to the exact original length.
     """
+    _check_instance(w, Waveform, "w")
     window_len, hop = _check_hop(window_len, hop)  # before the frame count divides by it
     pad = window_len
     n = w.samples.size

@@ -104,20 +104,24 @@ class FootstepParts:
     """Range-independent templates of one step on one floor.
 
     The templates are read-only once made: the spectrum of structure_source
-    is kept for the last FFT length asked for, because the microphones of
-    one step mostly share it.
+    and the range-free part of the dispersive delay are kept for the last
+    FFT length asked for, because the microphones of one step mostly share
+    it.
     """
 
     sample_rate: int
     air_template: np.ndarray
     structure_source: np.ndarray  # low-pass weighted modes, before dispersion
-    _spectrum: tuple = field(default=(0, None), init=False, repr=False, compare=False)
+    _at_length: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def _structure_spectrum(self, n: int) -> np.ndarray:
-        """rfft of structure_source zero-padded to n samples."""
-        if self._spectrum[0] != n:
-            self._spectrum = (n, np.fft.rfft(self.structure_source, n))
-        return self._spectrum[1]
+    def _dispersion_inputs(self, n: int, speed_at_1hz: float) -> tuple:
+        """(rfft of structure_source zero-padded to n samples,
+        _delay_denominators(n, speed_at_1hz, sample_rate))."""
+        key = (n, speed_at_1hz)
+        if self._at_length[0] != key:
+            self._at_length = (key, (np.fft.rfft(self.structure_source, n),
+                                     _delay_denominators(n, speed_at_1hz, self.sample_rate)))
+        return self._at_length[1]
 
 
 def impact_pulse(duration_s: float, sample_rate: int, scale: float) -> np.ndarray:
@@ -195,7 +199,8 @@ def dispersive_delay(
     x = _as_float_array(x, "x", (None,))
     sample_rate = _as_whole(sample_rate, "sample_rate")
     n = _dispersed_length(x.size, material, range_m, sample_rate)
-    return _disperse(np.fft.rfft(x, n), n, material, range_m, sample_rate)
+    dens = _delay_denominators(n, dispersion_speed(material, 1.0), sample_rate)
+    return _disperse(np.fft.rfft(x, n), n, range_m, dens)
 
 
 def _check_range(range_m: float, limit: float):
@@ -211,21 +216,27 @@ def _dispersed_length(size: int, material: FloorMaterial, range_m: float,
     return next_fast_len(size + pad)
 
 
-def _disperse(spectrum: np.ndarray, n: int, material: FloorMaterial, range_m: float,
-              sample_rate: int) -> np.ndarray:
-    """The dispersive phase applied to an rfft of length n, back in time."""
-    speed_at_1hz = dispersion_speed(material, 1.0)
+def _delay_denominators(n: int, speed_at_1hz: float, sample_rate: int) -> tuple:
+    """(bin spacing h, den at the bin midpoints, den at the bins) for an rfft
+    of length n, where the group delay is tau = range / den."""
     f_lo = _DISPERSION_CUTOFF_HZ
     f = np.fft.rfftfreq(n, 1.0 / sample_rate)
 
-    def tau(freq):
-        return range_m / (speed_at_1hz * (freq * freq + f_lo * f_lo) ** 0.25)
+    def den(freq):
+        return speed_at_1hz * (freq * freq + f_lo * f_lo) ** 0.25
 
     h = f[1]
-    mid = tau(f[:-1] + 0.5 * h)
-    ends = tau(f)
+    return h, den(f[:-1] + 0.5 * h), den(f)
+
+
+def _disperse(spectrum: np.ndarray, n: int, range_m: float, dens: tuple) -> np.ndarray:
+    """The dispersive phase applied to an rfft of length n, back in time;
+    dens is _delay_denominators for that length."""
+    h, mid_den, ends_den = dens
+    mid = range_m / mid_den
+    ends = range_m / ends_den
     segments = (h / 6.0) * (ends[:-1] + 4.0 * mid + ends[1:])
-    phase = np.zeros(f.size)
+    phase = np.zeros(ends.size)
     phase[1:] = -2.0 * np.pi * np.cumsum(segments)
     return np.fft.irfft(spectrum * np.exp(1j * phase), n)
 
@@ -250,7 +261,8 @@ def place_footstep(
     dispersed = None
     if structure:
         n_fft = _dispersed_length(parts.structure_source.size, material, range_m, fs)
-        dispersed = _disperse(parts._structure_spectrum(n_fft), n_fft, material, range_m, fs)
+        spectrum, dens = parts._dispersion_inputs(n_fft, dispersion_speed(material, 1.0))
+        dispersed = _disperse(spectrum, n_fft, range_m, dens)
     if out is None:
         longest = air_delay + parts.air_template.size
         if dispersed is not None:

@@ -14,6 +14,12 @@ sums, and the flatten before the dense layer is a reshape, so `project_w`'s
 rows run over (row, col, channel). Checkpoint version 3 has that order and
 refuses older files.
 
+The net trains and runs in float32: its parameters, running statistics,
+momentum and class centers are float32 (the initial weights are drawn in
+float64 and rounded), training casts the patches once and `forward` casts
+them after checking. The helpers compute in their inputs' dtype, so float64
+patches through `_forward` give a float64 reference pass of the same net.
+
 Gradient split (Ganin & Lempitsky 2015): the identity head descends
 L_eta = L_u + lam * L_c / batch (cross-entropy plus the center loss), the
 domain head descends the domain cross-entropy L_delta, and the feature
@@ -78,8 +84,8 @@ def _as_patches(x) -> np.ndarray:
 class IdNet:
     """Feature extractor, identity predictor, and domain discriminator.
 
-    `p` holds the trainable float64 arrays in checkpoint order and
-    `running` the batch-norm running statistics.
+    `p` holds the trainable float32 arrays in checkpoint order and
+    `running` the float32 batch-norm running statistics.
     """
 
     def __init__(self, n_users: int, n_domains: int, seed: int = 0):
@@ -97,13 +103,16 @@ class IdNet:
                                            ("id_out", 16, self.n_users),
                                            ("dom_hidden", FEATURE_DIM, 16),
                                            ("dom_out", 16, self.n_domains))]
-        self.p = {"conv1_w": conv1, "bn1_g": np.ones(32), "bn1_b": np.zeros(32),
-                  "conv2_w": conv2, "bn2_g": np.ones(64), "bn2_b": np.zeros(64)}
+        p = {"conv1_w": conv1, "bn1_g": np.ones(32), "bn1_b": np.zeros(32),
+             "conv2_w": conv2, "bn2_g": np.ones(64), "bn2_b": np.zeros(64)}
         for name, w in dense:
-            self.p[f"{name}_w"] = w
-            self.p[f"{name}_b"] = np.zeros(w.shape[1])
-        self.running = {"bn1_mean": np.zeros(32), "bn1_var": np.ones(32),
-                        "bn2_mean": np.zeros(64), "bn2_var": np.ones(64)}
+            p[f"{name}_w"] = w
+            p[f"{name}_b"] = np.zeros(w.shape[1])
+        self.p = {name: a.astype(np.float32) for name, a in p.items()}
+        self.running = {"bn1_mean": np.zeros(32, np.float32),
+                        "bn1_var": np.ones(32, np.float32),
+                        "bn2_mean": np.zeros(64, np.float32),
+                        "bn2_var": np.ones(64, np.float32)}
 
     def params(self):
         return list(self.p.values())
@@ -132,7 +141,7 @@ def _fold(g_cols, shape, kh, kw):
     """Scatter unfolded-row gradients back onto the (B, H, W, C) input."""
     ph, pw = shape[1] - kh + 1, shape[2] - kw + 1
     g6 = g_cols.reshape(shape[0], ph, pw, kh, kw, shape[3])
-    gx = np.zeros(shape)
+    gx = np.zeros(shape, g_cols.dtype)
     for i in range(kh):
         for j in range(kw):
             gx[:, i:i + ph, j:j + pw] += g6[:, :, :, i, j]
@@ -194,8 +203,9 @@ def _forward(net: IdNet, x: np.ndarray, train: bool, rng=None):
         b, xhat, inv = _batchnorm(cols @ _taps(w), p[f"bn{k}_g"], p[f"bn{k}_b"],
                                   r[f"bn{k}_mean"], r[f"bn{k}_var"], train)
         gate = b > 0  # b * gate, not np.maximum: -inf turns into NaN, so divergence shows
-        if train and k == 2:
-            gate = gate * ((rng.random(b.shape) >= DROP_RATE) / (1.0 - DROP_RATE))
+        if train and k == 2:  # in b's dtype: numpy 1.x casts bool * float32 scalar to float16
+            gate = (gate & (rng.random(b.shape) >= DROP_RATE)).astype(b.dtype)
+            gate *= 1.0 / (1.0 - DROP_RATE)
         if train:
             cache.update({f"in{k}": h.shape, f"cols{k}": cols, f"xhat{k}": xhat,
                           f"inv{k}": inv, f"gate{k}": gate})
@@ -217,9 +227,10 @@ def forward(net: IdNet, patches):
     """Features plus identity and domain distributions for the given patches.
 
     An eval-mode pass: running batch-norm statistics, no dropout, pure and
-    deterministic. Returns (f, identity probs, domain probs) as arrays.
+    deterministic. Returns (f, identity probs, domain probs) as float32
+    arrays.
     """
-    f, id_logits, dom_logits, _ = _forward(net, _as_patches(patches), False)
+    f, id_logits, dom_logits, _ = _forward(net, _as_patches(patches).astype(np.float32), False)
     return f, _softmax(id_logits), _softmax(dom_logits)
 
 
@@ -253,7 +264,8 @@ def _update_centers(centers: np.ndarray, features: np.ndarray, labels,
     out = centers.copy()
     for j in np.unique(labels):
         mask = labels == j
-        delta = np.sum(centers[j] - features[mask], axis=0) / (1.0 + mask.sum())
+        # a Python count: an np.int64 would lift float32 features to float64
+        delta = np.sum(centers[j] - features[mask], axis=0) / (1 + int(mask.sum()))
         out[j] = centers[j] - alpha * delta
     return out
 
@@ -381,7 +393,8 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     """
     rng = np.random.default_rng(config.seed)
     net = IdNet(dataset.n_users, dataset.n_domains, seed=config.seed)
-    centers = np.zeros((dataset.n_users, FEATURE_DIM))
+    centers = np.zeros((dataset.n_users, FEATURE_DIM), np.float32)
+    x = dataset.x.astype(np.float32)
 
     order = rng.permutation(dataset.x.shape[0])
     n_val = int(round(config.val_fraction * order.size))
@@ -399,7 +412,7 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
         starts = range(0, perm.size, config.batch)
         for lo in starts:
             idx = perm[lo:lo + config.batch]
-            losses, grads, f = _train_step(net, dataset.x[idx], dataset.users[idx],
+            losses, grads, f = _train_step(net, x[idx], dataset.users[idx],
                                            dataset.domains[idx], centers, config.lam,
                                            lam_grl, rng)
             if not (np.all(np.isfinite(losses))
@@ -413,7 +426,7 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
             centers = _update_centers(centers, f, dataset.users[idx])
             sums += (losses[0], losses[1] / idx.size, losses[2])
         held = val_idx if n_val else train_idx
-        val = evaluate_accuracy(net, dataset.x[held], dataset.users[held])
+        val = evaluate_accuracy(net, x[held], dataset.users[held])
         l_u, l_c, l_d = sums / len(starts)
         log.append({"epoch": epoch, "loss_identity": float(l_u), "loss_center": float(l_c),
                     "loss_domain": float(l_d), "val_accuracy": float(val)})
@@ -465,13 +478,17 @@ def save_checkpoint(path, net: IdNet, centers: np.ndarray) -> None:
     meta = {"version": _CHECKPOINT_VERSION, "n_users": net.n_users,
             "n_domains": net.n_domains, "arch_hash": _architecture_hash(net)}
     arrays = {f"param_{i:03d}": a for i, a in enumerate(net.params())}
-    arrays.update(net.running, centers=_as_float_array(centers, "centers",
-                                                          (net.n_users, FEATURE_DIM)))
+    arrays.update(net.running, centers=_as_float_array(
+        centers, "centers", (net.n_users, FEATURE_DIM)).astype(np.float32))
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path):
-    """Rebuild (net, centers) from a checkpoint, refusing stale or foreign files."""
+    """Rebuild (net, centers) from a checkpoint, refusing stale or foreign files.
+
+    Everything loads as float32, so a save and load round trip is bitwise; a
+    version-3 file written with float64 arrays is rounded on load.
+    """
     try:
         with np.load(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["__meta__"]))
@@ -485,10 +502,10 @@ def load_checkpoint(path):
                     raise FootfallError("checkpoint does not fit the architecture",
                                         param=i, stored=list(stored.shape),
                                         expected=list(a.shape))
-                net.p[name] = stored.astype(np.float64)
+                net.p[name] = stored.astype(np.float32)
             for name in net.running:
-                net.running[name] = blob[name].astype(np.float64)
-            centers = blob["centers"].astype(np.float64)
+                net.running[name] = blob[name].astype(np.float32)
+            centers = blob["centers"].astype(np.float32)
         if _architecture_hash(net) != meta["arch_hash"]:
             raise FootfallError("architecture hash mismatch")
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:

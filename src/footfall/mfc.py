@@ -13,7 +13,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .dsp import stft
-from .types import Waveform, _as_float_array
+from .types import Waveform, _as_float_array, _as_whole
 
 _LOG_FLOOR = 1e-30
 _N_FILTERS = 26
@@ -28,12 +28,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (_as_float_array(m, "m", None) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=32)
 def mel_filterbank(window_len: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank from 0 Hz to Nyquist, shape (26, window_len // 2 + 1).
 
-    Built once per (window_len, sample_rate); the shared array is read-only.
+    Both sizes are positive whole numbers. Built once per (window_len,
+    sample_rate); the shared array is read-only.
     """
+    return _mel_filterbank(_as_whole(window_len, "window_len"),
+                           _as_whole(sample_rate, "sample_rate"))
+
+
+@functools.lru_cache(maxsize=32)
+def _mel_filterbank(window_len: int, sample_rate: int) -> np.ndarray:
     n_bins = window_len // 2 + 1
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), _N_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)

@@ -32,7 +32,7 @@ from .floors import FloorMaterial
 from .footsteps import FootstepPersona, footstep_parts, place_footstep
 from .interferers import pink_noise, white_noise
 from .types import (MultichannelWaveform, Waveform, _as_float_array, _as_positive, _as_real,
-                    _as_whole)
+                    _as_whole, _check_instance)
 
 SCENE_BOUND_M = 50.0
 NOISE_KINDS = ("white", "pink")
@@ -154,6 +154,7 @@ class AirSource:
     gain: float = 1.0
 
     def __post_init__(self):
+        _check_instance(self.waveform, Waveform, "waveform")
         self.position = _as_float_array(self.position, "position", (2,))
         self.gain = _as_real(self.gain, "gain")
 
@@ -340,6 +341,7 @@ def render_scene(scene: Scene) -> tuple:
     achieved level reported as None) when a target or its reference is
     missing.
     """
+    _check_instance(scene, Scene, "scene")
     for w in scene.walkers:
         _check_bound(w.trajectory.positions, "trajectory")
     fs = scene.sample_rate
@@ -442,6 +444,7 @@ def emulate_attack(scene: Scene, attacker_pos, playback_pos) -> Scene:
     that recording played back from a static position, normalized to unit
     peak. Ambient noise settings carry over; the result is marked replayed.
     """
+    _check_instance(scene, Scene, "scene")
     attacker_pos = _as_float_array(attacker_pos, "attacker_pos", (2,))
     playback_pos = _as_float_array(playback_pos, "playback_pos", (2,))
     tap = replace(scene, array=MicArray(attacker_pos[None, :]),

@@ -51,6 +51,13 @@ def _as_positive(x, name: str, zero_ok: bool = False) -> float:
     return value
 
 
+def _check_instance(x, cls: type, name: str) -> None:
+    """A FootfallError that calls x name unless x is a cls."""
+    if not isinstance(x, cls):
+        raise FootfallError(f"{name} must be a {cls.__name__}", argument=name,
+                            type=type(x).__name__)
+
+
 def _as_float_array(x, name: str, shape: tuple | None, nonnegative: bool = False) -> np.ndarray:
     """x as a finite float64 array, >= 0 throughout when nonnegative.
 

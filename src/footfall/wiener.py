@@ -13,7 +13,7 @@ import numpy as np
 
 from .dsp import analyze_padded, synthesize_padded
 from .errors import FootfallError
-from .types import Spectrogram, Waveform
+from .types import Spectrogram, Waveform, _check_instance
 
 ALPHA = 0.98  # memory of the a-priori SNR estimate
 GAIN_FLOOR = 0.05
@@ -27,6 +27,8 @@ def wiener_residual_suppress(noisy: Waveform, noise_floor: Spectrogram) -> Wavef
     gain is g = max(xi / (1 + xi), GAIN_FLOOR) with decision-directed xi.
     Output has exactly the input length; silence stays silence.
     """
+    _check_instance(noisy, Waveform, "noisy")
+    _check_instance(noise_floor, Spectrogram, "noise_floor")
     if noise_floor.sample_rate != noisy.sample_rate:
         raise FootfallError(
             "noise floor sample rate differs from signal",

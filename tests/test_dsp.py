@@ -5,7 +5,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
 from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
+from footfall.scenes import AirSource, emulate_attack, render_scene
 from footfall.types import Spectrogram
+from footfall.wiener import wiener_residual_suppress
 
 
 def _noise_wave(n=8192, sr=16000, seed=0):
@@ -275,3 +277,21 @@ def test_window_and_hop_must_be_positive_whole_numbers(entry, name, value):
     assert name in err.value.details and name in err.value.message
     # a whole float is the same size as the int
     assert np.array_equal(_sizes_through(entry, 512.0, 256.0), _sizes_through(entry, 512, 256))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: AirSource("x", [0, 0]), "waveform"),
+    (lambda: stft("abc", 512, 256), "w"),
+    (lambda: analyze_padded("abc", 512, 256), "w"),
+    (lambda: istft("abc"), "spec"),
+    (lambda: synthesize_padded("abc", 0, 10), "spec"),
+    (lambda: wiener_residual_suppress("abc", None), "noisy"),
+    (lambda: wiener_residual_suppress(_noise_wave(), np.ones((257, 3))), "noise_floor"),
+    (lambda: render_scene("abc"), "scene"),
+    (lambda: emulate_attack("abc", [0.0, 0.0], [1.0, 1.0]), "scene"),
+], ids=["air-source", "stft", "analyze_padded", "istft", "synthesize_padded", "wiener-noisy",
+        "wiener-floor", "render_scene", "emulate_attack"])
+def test_a_container_argument_of_the_wrong_type_raises_by_name(call, name):
+    with pytest.raises(FootfallError) as err:
+        call()
+    assert err.value.details["argument"] == name and name in err.value.message

@@ -161,15 +161,17 @@ def test_training_step_is_momentum_sgd():
     ds = _toy_dataset(per_cell=3, seed=6)
     config = TrainConfig(epochs=2, lr=0.003, batch=64, seed=2, val_fraction=0.0)
     got = train_adversarial(ds, config).net
-    # replay the two single-batch epochs: v <- 0.9 v + g; p <- p - lr v
+    # replay the two single-batch epochs: v <- 0.9 v + g; p <- p - lr v, on
+    # float32 patches and centers as training runs them
     net = IdNet(ds.n_users, ds.n_domains, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(ds.x.shape[0])
-    centers = np.zeros((ds.n_users, FEATURE_DIM))
+    x = ds.x.astype(np.float32)
+    centers = np.zeros((ds.n_users, FEATURE_DIM), np.float32)
     velocity = {name: 0.0 for name in net.p}
     for lam_grl in (0.0, 1.0):  # the reversal ramp over two epochs
         idx = order[rng.permutation(order.size)]
-        _, grads, f = _train_step(net, ds.x[idx], ds.users[idx], ds.domains[idx],
+        _, grads, f = _train_step(net, x[idx], ds.users[idx], ds.domains[idx],
                                   centers, config.lam, lam_grl, rng)
         for name, g in grads.items():
             velocity[name] = 0.9 * velocity[name] + g

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from footfall import Waveform
-from footfall.mfc import hz_to_mel, mel_filterbank, mel_to_hz, mfc
+from footfall.errors import FootfallError
+from footfall.mfc import _mel_filterbank, hz_to_mel, mel_filterbank, mel_to_hz, mfc
 
 
 def _tone_mix(n=8192, sr=16000, seed=1):
@@ -62,7 +63,18 @@ def test_filterbank_is_built_once_and_read_only():
     assert not fb.flags.writeable
     with pytest.raises(ValueError):
         fb[0, 0] = 1.0
-    assert np.array_equal(fb, mel_filterbank.__wrapped__(512, 16000))
+    assert np.array_equal(fb, _mel_filterbank.__wrapped__(512, 16000))
+    assert mel_filterbank(512.0, np.int64(16000)) is fb
+
+
+@pytest.mark.parametrize("window_len, sample_rate, name", [
+    ("512", 16000, "window_len"), (512.5, 16000, "window_len"), (0, 16000, "window_len"),
+    (512, None, "sample_rate"), (512, float("nan"), "sample_rate")],
+    ids=["str-window", "fractional-window", "zero-window", "None-rate", "nan-rate"])
+def test_filterbank_sizes_must_be_positive_whole_numbers(window_len, sample_rate, name):
+    with pytest.raises(FootfallError) as err:
+        mel_filterbank(window_len, sample_rate)
+    assert name in err.value.details
 
 
 def test_mfc_with_the_cached_filterbank_is_bitwise_a_fresh_build():
@@ -72,8 +84,8 @@ def test_mfc_with_the_cached_filterbank_is_bitwise_a_fresh_build():
 
     w = _tone_mix(sr=48000)
     power = stft(w, 768, 384).magnitudes.T ** 2
-    energy = power @ mel_filterbank.__wrapped__(768, 48000).T
+    energy = power @ _mel_filterbank.__wrapped__(768, 48000).T
     fresh = dct(np.log(np.maximum(energy, 1e-30)), type=2, axis=1, norm="ortho")[:, :13]
-    mel_filterbank.cache_clear()
+    _mel_filterbank.cache_clear()
     for _ in range(2):  # the first call builds the filterbank, the second reuses it
         assert np.array_equal(mfc(w, 768, 384), fresh)

@@ -5,9 +5,11 @@ Each test differentiates one building block of idnet's numpy network
 losses and the gradient reversal) and compares the backward formulas that
 _train_step uses against central differences of a scalar loss. The trunk
 is channel-last; a channel-first einsum network checks its layout, and
-checkpoints from the channel-first layout are refused.
+checkpoints from the channel-first layout are refused. The net is float32;
+float64 inputs drive the same helpers in float64 as the reference.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -186,9 +188,11 @@ def test_dropout_gradient_with_held_mask():
     _assert_grads_match(lambda: step(42)[0][0], (net.p["bn2_b"], grads["bn2_b"]),
                         eps=1e-7)
     assert not np.allclose(step(43)[1]["bn2_b"], grads["bn2_b"])
-    # the shared ReLU and dropout gate holds 0 and the inverted-dropout scale
-    _, _, _, cache = _forward(net, x, True, np.random.default_rng(42))
-    assert set(np.unique(cache["gate2"])) == {0.0, 1.0 / (1.0 - DROP_RATE)}
+    # the shared ReLU and dropout gate holds 0 and the inverted-dropout scale,
+    # in the float32 of the shipped activations
+    _, _, _, cache = _forward(net, x.astype(np.float32), True, np.random.default_rng(42))
+    assert cache["gate2"].dtype == np.float32
+    assert set(np.unique(cache["gate2"])) == {0.0, np.float32(1.0 / (1.0 - DROP_RATE))}
     # eval mode is the identity: a plain ReLU trunk, and no cache
     f, _, _, cache = _forward(net, x, False)
     assert cache is None
@@ -304,18 +308,55 @@ def _channel_first_features(net, x):
     return np.einsum("nchw,hwcf->nf", h2, w) + p["project_b"]
 
 
-def test_channel_last_trunk_equals_a_channel_first_network():
-    rng = np.random.default_rng(16)
-    net = IdNet(3, 2, seed=16)
+def _nets_and_patches(seed, n):
+    """A float32 net with nontrivial batch-norm statistics, a float64 copy of
+    it and n float64 patches: _forward follows its inputs' dtype, so the copy
+    gives a float64 pass of the same helpers and weights."""
+    rng = np.random.default_rng(seed)
+    net = IdNet(3, 2, seed=seed)
     for k, c in ((1, 32), (2, 64)):
-        net.p[f"bn{k}_g"] = 1.0 + 0.3 * rng.standard_normal(c)
-        net.p[f"bn{k}_b"] = 0.5 * rng.standard_normal(c)
-        net.running[f"bn{k}_mean"] = 0.3 * rng.standard_normal(c)
-        net.running[f"bn{k}_var"] = 0.5 + rng.random(c)
-    x = rng.random((3, 32, 16))
-    f, _, _ = forward(net, x)
-    expected = _channel_first_features(net, x)
+        net.p[f"bn{k}_g"] = (1.0 + 0.3 * rng.standard_normal(c)).astype(np.float32)
+        net.p[f"bn{k}_b"] = (0.5 * rng.standard_normal(c)).astype(np.float32)
+        net.running[f"bn{k}_mean"] = (0.3 * rng.standard_normal(c)).astype(np.float32)
+        net.running[f"bn{k}_var"] = (0.5 + rng.random(c)).astype(np.float32)
+    ref = copy.copy(net)
+    ref.p = {name: a.astype(np.float64) for name, a in net.p.items()}
+    ref.running = {name: a.astype(np.float64) for name, a in net.running.items()}
+    return net, ref, rng.random((n, 32, 16))
+
+
+def test_channel_last_trunk_equals_a_channel_first_network():
+    _, ref, x = _nets_and_patches(16, 3)
+    f, _, _, _ = _forward(ref, x, False)
+    assert f.dtype == np.float64
+    expected = _channel_first_features(ref, x)
     assert np.abs(f - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_float32_forward_follows_the_float64_pass():
+    net, ref, x = _nets_and_patches(16, 8)
+    f, pu, pd = forward(net, x)
+    f64, id_logits, dom_logits, _ = _forward(ref, x, False)
+    assert np.abs(f - f64).max() <= 1e-5 * np.abs(f64).max()
+    for probs, logits in ((pu, id_logits), (pd, dom_logits)):
+        assert np.abs(probs - _softmax(logits)).max() <= 1e-6
+        assert np.array_equal(probs.argmax(axis=1), logits.argmax(axis=1))
+
+
+def test_training_and_inference_stay_float32():
+    # numpy 2 lifts float32 against an np.float64 scalar to float64, and
+    # numpy 1.x can turn a bool array times a float32 scalar into float16
+    net = IdNet(3, 2)
+    rng = np.random.default_rng(17)
+    x = rng.random((4, 32, 16)).astype(np.float32)
+    users, domains = np.array([0, 1, 2, 0]), np.array([0, 1, 0, 1])
+    centers = np.zeros((3, FEATURE_DIM), np.float32)
+    _, grads, f = _train_step(net, x, users, domains, centers, 0.1, 0.5, rng)
+    arrays = {**net.p, **net.running, **{f"d_{k}": g for k, g in grads.items()},
+              "train_f": f}
+    arrays.update(zip(("f", "identity", "domain"), forward(net, x)))
+    for name, a in arrays.items():
+        assert a.dtype == np.float32, name
 
 
 def test_checkpoint_refuses_the_channel_first_version(tmp_path):
