@@ -9,12 +9,12 @@ walker. No ranging estimator or replay detector ships."""
 
 __version__ = "0.1.0"
 
-from .bss import SeparationScore, score_separation, sdr, sir
+from .bss import sdr, sir
 from .errors import FootfallError
 from .floors import CONCRETE_SLAB, WOOD_JOIST, FloorMaterial, arrival_gap, dispersion_speed
 from .footsteps import FootstepPersona, synth_footstep
 from .interferers import babble, pink_noise, white_noise
-from .nmf import NmfModel, nmf_separate
+from .nmf import nmf_separate
 from .wiener import wiener_residual_suppress
 from .scenes import (
     AirSource,
@@ -39,9 +39,7 @@ __all__ = [
     "GroundTruth",
     "MicArray",
     "MultichannelWaveform",
-    "NmfModel",
     "Scene",
-    "SeparationScore",
     "Spectrogram",
     "StepTruth",
     "Trajectory",
@@ -56,7 +54,6 @@ __all__ = [
     "nmf_separate",
     "pink_noise",
     "render_scene",
-    "score_separation",
     "sdr",
     "sir",
     "synth_footstep",

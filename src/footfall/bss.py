@@ -9,36 +9,18 @@ part, interference leakage, noise leakage, and artifacts:
     e_art   remainder
 
 SIR compares s_tgt to e_itf; SDR compares s_tgt to everything that is not
-target. Both are scale invariant and capped at +-100 dB.
+target. Both are scale invariant and capped at +-100 dB. sir and sdr are
+the two scores; decompose returns the parts they are read from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FootfallError
-from .types import _as_float_array, _as_real
+from .types import _as_float_array
 
 DB_CAP = 100.0
-
-
-@dataclass
-class SeparationScore:
-    """Separation quality of one stem against its clean references."""
-
-    sir: float
-    sdr: float
-
-    def __post_init__(self):
-        self.sir, self.sdr = _as_real(self.sir, "sir"), _as_real(self.sdr, "sdr")
-        # distortion includes interference, so sdr cannot sit far above sir
-        if self.sdr > self.sir + 60.0:
-            raise FootfallError("sdr exceeds sir by more than 60 dB", sir=self.sir, sdr=self.sdr)
-
-    def to_dict(self) -> dict:
-        return {"sir_db": self.sir, "sdr_db": self.sdr}
 
 
 def _project(est: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -100,18 +82,3 @@ def sdr(estimate, target, interferers=(), noise=None) -> float:
     parts = decompose(estimate, target, interferers, noise)
     err = parts["e_itf"] + parts["e_nse"] + parts["e_art"]
     return _ratio_db(float(np.sum(parts["s_tgt"] ** 2)), float(np.sum(err**2)))
-
-
-def score_separation(estimate, target, interferers, noise=None) -> SeparationScore:
-    """SIR and SDR of one separated stem, bundled for reporting."""
-    return SeparationScore(
-        sir=sir(estimate, target, interferers, noise),
-        sdr=sdr(estimate, target, interferers, noise),
-    )
-
-
-def snr_db(signal, noise) -> float:
-    """Plain energy ratio in dB between two stems."""
-    s = _samples(signal, "signal")
-    n = _samples(noise, "noise")
-    return _ratio_db(float(np.sum(s * s)), float(np.sum(n * n)))

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FootfallError
-from .gmm import gmm_classify
+from .gmm import _check_models, gmm_classify
 from .mfc import mfc
-from .types import Waveform, _as_float_array, _as_positive, _as_real, _as_whole
+from .types import (Waveform, _as_float_array, _as_positive, _as_real, _as_whole,
+                    _check_instance)
 
 MERGE_GAP_S = 0.05
 _GATE_FACTOR = 4.0  # gate threshold over the median frame RMS
@@ -71,6 +72,7 @@ def _frame_rms(x: np.ndarray, frame: int) -> np.ndarray:
 
 def energy_gate(w: Waveform, frame: int, threshold: float) -> list:
     """Maximal runs of frames with RMS above threshold, gaps < MERGE_GAP_S closed."""
+    _check_instance(w, Waveform, "w")
     levels = _frame_rms(w.samples, frame)
     active = levels > _as_real(threshold, "threshold")
     segments = []
@@ -97,6 +99,7 @@ def gate_threshold(w: Waveform, frame: int) -> float:
 
     The median tracks the noise floor because footsteps are sparse in time.
     """
+    _check_instance(w, Waveform, "w")
     levels = _frame_rms(w.samples, frame)
     if levels.size == 0:
         raise FootfallError("waveform too short to estimate a gate threshold")
@@ -119,6 +122,7 @@ def detect_events(w: Waveform, models: dict, frame: int,
     models maps class label to a GmmModel trained on classification_features
     output; the gate threshold is gate_threshold(w, frame).
     """
+    _check_models(models)
     events = []
     for seg in energy_gate(w, frame, gate_threshold(w, frame)):
         a = int(seg.onset_s * w.sample_rate)

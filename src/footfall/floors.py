@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FootfallError
-from .types import _as_float_array, _as_positive
+from .types import _as_float_array, _as_positive, _check_instance
 
 AIR_SPEED = 340.0  # m/s
 
@@ -65,6 +65,7 @@ def dispersion_speed(material: FloorMaterial, freq_hz):
 
     Scales as sqrt(f); accepts scalars or arrays, zero frequency maps to zero.
     """
+    _check_instance(material, FloorMaterial, "material")
     scalar = np.isscalar(freq_hz)
     f = (_as_positive(freq_hz, "freq_hz", zero_ok=True) if scalar
          else _as_float_array(freq_hz, "freq_hz", None, nonnegative=True))
@@ -92,6 +93,7 @@ def material_for_speed(
     speed: float, f_ref_hz: float = 1000.0, base: FloorMaterial = CONCRETE_SLAB
 ) -> FloorMaterial:
     """Variant of a material whose bending-wave speed at f_ref is exactly `speed`."""
+    _check_instance(base, FloorMaterial, "base")
     speed = _as_positive(speed, "speed")
     f_ref_hz = _as_positive(f_ref_hz, "f_ref_hz")
     denom = 12.0 * base.density * (1.0 - base.poisson_ratio**2)

@@ -12,7 +12,9 @@ The listener hears two copies:
 The dispersive filter is a pure phase in the frequency domain, so the
 structural path preserves energy exactly before the geometric attenuation.
 High frequencies outrun low ones, which turns the click into the low rumble
-that precedes the airborne arrival.
+that precedes the airborne arrival. place_footstep is the one entry to that
+filter: footstep_parts makes a step's range-free templates once, and
+place_footstep disperses and mixes them at each microphone's range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.signal import fftconvolve
 
 from .errors import FootfallError
 from .floors import FloorMaterial, dispersion_speed
-from .types import Waveform, _as_float_array, _as_positive, _as_whole
+from .types import Waveform, _as_positive, _as_whole, _check_instance
 
 # structural coupling rolls off with frequency; air keeps the full mode set
 STRUCTURE_LOWPASS_HZ = 800.0
@@ -149,6 +151,7 @@ def _mode_response(freq: float, damping: float, amplitude: float, sample_rate: i
 
 def footstep_parts(persona: FootstepPersona, material: FloorMaterial, sample_rate: int) -> FootstepParts:
     """Synthesize the templates shared by every microphone."""
+    _check_instance(persona, FootstepPersona, "persona")
     sample_rate = _as_whole(sample_rate, "sample_rate")
     if persona.max_mode_hz >= 0.5 * sample_rate:
         raise FootfallError(
@@ -179,35 +182,6 @@ def _add_varlen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _DISPERSION_CUTOFF_HZ = 20.0
 
 
-def dispersive_delay(
-    x: np.ndarray, material: FloorMaterial, range_m: float, sample_rate: int
-) -> np.ndarray:
-    """Apply the bending-wave propagation phase for the given travel range.
-
-    Pure phase filter with group delay range / c_f(f); unit magnitude, so the
-    output energy equals the input energy exactly. The slab stops acting as
-    a dispersive plate once wavelengths reach its span, so the group delay is
-    regularized to tau(f) = range / (a * (f^2 + cutoff^2)^(1/4)) with a the
-    bending speed at 1 Hz: indistinguishable from range / c_f(f) in the mode
-    band, bounded at DC. tau is even in f, so the phase extends smoothly
-    across DC and the impulse response has no slowly decaying tails. The
-    phase is the cumulative integral of the group delay, taken with a
-    composite Simpson rule so the discretization noise stays nanoradian.
-    The output is padded so the slowest arrival fits without wrapping.
-    """
-    _check_range(range_m, np.inf)
-    x = _as_float_array(x, "x", (None,))
-    sample_rate = _as_whole(sample_rate, "sample_rate")
-    n = _dispersed_length(x.size, material, range_m, sample_rate)
-    dens = _delay_denominators(n, dispersion_speed(material, 1.0), sample_rate)
-    return _disperse(np.fft.rfft(x, n), n, range_m, dens)
-
-
-def _check_range(range_m: float, limit: float):
-    if _as_positive(range_m, "range_m") > limit:
-        raise FootfallError("range out of bounds", range_m=range_m)
-
-
 def _dispersed_length(size: int, material: FloorMaterial, range_m: float,
                       sample_rate: int) -> int:
     """FFT length that holds `size` samples plus the slowest arrival."""
@@ -230,8 +204,21 @@ def _delay_denominators(n: int, speed_at_1hz: float, sample_rate: int) -> tuple:
 
 
 def _disperse(spectrum: np.ndarray, n: int, range_m: float, dens: tuple) -> np.ndarray:
-    """The dispersive phase applied to an rfft of length n, back in time;
-    dens is _delay_denominators for that length."""
+    """The bending-wave propagation phase for range_m applied to an rfft of
+    length n, back in time; dens is _delay_denominators for that length.
+
+    Pure phase filter with group delay range / c_f(f); unit magnitude, so the
+    output energy equals the input energy exactly. The slab stops acting as
+    a dispersive plate once wavelengths reach its span, so the group delay is
+    regularized to tau(f) = range / (a * (f^2 + cutoff^2)^(1/4)) with a the
+    bending speed at 1 Hz: indistinguishable from range / c_f(f) in the mode
+    band, bounded at DC. tau is even in f, so the phase extends smoothly
+    across DC and the impulse response has no slowly decaying tails. The
+    phase is the cumulative integral of the group delay, taken with a
+    composite Simpson rule so the discretization noise stays nanoradian.
+    n comes from _dispersed_length, so the slowest arrival fits without
+    wrapping.
+    """
     h, mid_den, ends_den = dens
     mid = range_m / mid_den
     ends = range_m / ends_den
@@ -254,7 +241,10 @@ def place_footstep(
 
     offset is the sample index of the impact instant. Returns the buffer.
     """
-    _check_range(range_m, 150.0)
+    _check_instance(parts, FootstepParts, "parts")
+    _check_instance(material, FloorMaterial, "material")
+    if _as_positive(range_m, "range_m") > 150.0:
+        raise FootfallError("range out of bounds", range_m=range_m)
     offset = _as_whole(offset, "offset", zero_ok=True)
     fs = parts.sample_rate
     air_delay = int(round(fs * range_m / material.air_speed))

@@ -8,14 +8,14 @@ components from collapsing onto single frames.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import FootfallError
-from .types import _as_float_array, _as_whole
+from .types import _as_float_array, _as_whole, _check_instance
 
 VARIANCE_FLOOR = 1e-6
 _TOL = 1e-6
@@ -45,10 +45,6 @@ class GmmModel:
             raise FootfallError("variance below floor", floor=VARIANCE_FLOOR)
 
     @property
-    def k(self) -> int:
-        return self.weights.size
-
-    @property
     def feature_dim(self) -> int:
         return self.means.shape[1]
 
@@ -67,24 +63,6 @@ class GmmModel:
 
     def mean_log_likelihood(self, features) -> float:
         return float(np.mean(self.log_likelihoods(features)))
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "means": self.means.tolist(),
-                "variances": self.variances.tolist()}
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "GmmModel":
-        return cls(np.array(blob["weights"]), np.array(blob["means"]),
-                   np.array(blob["variances"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "GmmModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,14 +140,22 @@ def gmm_fit(features, k: int, seed: int) -> GmmModel:
     return model
 
 
+def _check_models(models) -> None:
+    """A FootfallError unless models is a non-empty mapping to GmmModels."""
+    _check_instance(models, Mapping, "models")
+    if not models:
+        raise FootfallError("no models to classify against")
+    for model in models.values():
+        _check_instance(model, GmmModel, "models")
+
+
 def gmm_classify(models: dict, segment) -> tuple:
     """(label, per-class mean log-likelihood); ties go to the earliest class.
 
     models is an ordered mapping label -> GmmModel; its order defines the
     class index used for tie-breaking.
     """
-    if not models:
-        raise FootfallError("no models to classify against")
+    _check_models(models)
     scores = {}
     label = None
     for name, model in models.items():

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FootfallError
-from .types import _as_float_array, _as_positive, _as_whole
+from .types import _as_float_array, _as_positive, _as_whole, _check_instance
 
 PATCH_SHAPE = (32, 16)
 FEATURE_DIM = 16
@@ -230,6 +230,7 @@ def forward(net: IdNet, patches):
     deterministic. Returns (f, identity probs, domain probs) as float32
     arrays.
     """
+    _check_instance(net, IdNet, "net")
     f, id_logits, dom_logits, _ = _forward(net, _as_patches(patches).astype(np.float32), False)
     return f, _softmax(id_logits), _softmax(dom_logits)
 
@@ -391,6 +392,8 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
     center loss. A loss or a running batch-norm statistic that is no longer
     finite stops training with FootfallError.
     """
+    _check_instance(dataset, TrainSet, "dataset")
+    _check_instance(config, TrainConfig, "config")
     rng = np.random.default_rng(config.seed)
     net = IdNet(dataset.n_users, dataset.n_domains, seed=config.seed)
     centers = np.zeros((dataset.n_users, FEATURE_DIM), np.float32)
@@ -436,8 +439,9 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
 def identify(net: IdNet, patches, voting: str = "single"):
     """Vote the per-step predictions into one user id.
 
-    Returns (user id, confidence) where confidence is the winning vote
-    share. Ties go to the lowest user id.
+    Each of patches is one 32x16 patch, one per step. Returns (user id,
+    confidence) where confidence is the winning vote share. Ties go to the
+    lowest user id.
     """
     if voting not in VOTING_SCHEMES:
         raise FootfallError("unknown voting scheme", voting=voting,
@@ -449,7 +453,8 @@ def identify(net: IdNet, patches, voting: str = "single"):
     if len(patches) != n:
         raise FootfallError("voting scheme needs a different step count",
                             voting=voting, expected=n, got=len(patches))
-    _, pu, _ = forward(net, np.stack([_as_patches(p)[0] for p in patches]))
+    _, pu, _ = forward(net, np.stack(
+        [_as_float_array(p, "patches", PATCH_SHAPE, nonnegative=True) for p in patches]))
     counts = np.bincount(pu.argmax(axis=1), minlength=net.n_users)
     winner = int(counts.argmax())
     return winner, counts[winner] / len(patches)
@@ -475,6 +480,7 @@ def _architecture_hash(net: IdNet) -> str:
 
 def save_checkpoint(path, net: IdNet, centers: np.ndarray) -> None:
     """Versioned binary checkpoint with an architecture hash."""
+    _check_instance(net, IdNet, "net")
     meta = {"version": _CHECKPOINT_VERSION, "n_users": net.n_users,
             "n_domains": net.n_domains, "arch_hash": _architecture_hash(net)}
     arrays = {f"param_{i:03d}": a for i, a in enumerate(net.params())}

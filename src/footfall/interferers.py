@@ -20,7 +20,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 
 from .errors import FootfallError
-from .types import Waveform, _as_positive, _as_real, _as_whole
+from .types import Waveform, _as_positive, _as_real, _as_whole, _check_instance
 
 VOICE_TOP_HZ = 3800.0
 _BREATH_LO_HZ = 300.0
@@ -32,6 +32,7 @@ _WORKERS = 2  # threads that run the talkers' harmonic sums
 
 def white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-RMS white noise, n samples."""
+    _check_instance(rng, np.random.Generator, "rng")
     x = rng.standard_normal(_as_whole(n, "n"))
     return x / np.sqrt(np.mean(x * x))
 
@@ -42,6 +43,7 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     White noise is shaped in the frequency domain by 1/sqrt(f); the DC bin is
     zeroed. Equal energy per octave, 3 dB down per octave in density.
     """
+    _check_instance(rng, np.random.Generator, "rng")
     n = _as_whole(n, "n")
     if n < 2:  # the shaping needs a bin above DC
         raise FootfallError("pink noise needs at least two samples", n=n)
@@ -133,6 +135,7 @@ def _add_talker(x: np.ndarray, harmonics: Future, breath: np.ndarray,
 def babble(duration_s: float, sample_rate: int, rng: np.random.Generator,
            n_talkers: int = 4, pitch_lo: float = 110.0, pitch_hi: float = 290.0) -> Waveform:
     """Unit-RMS chorus of n_talkers synthetic voices."""
+    _check_instance(rng, np.random.Generator, "rng")
     sample_rate = _as_whole(sample_rate, "sample_rate")
     duration_s = _as_positive(duration_s, "duration_s")
     n_talkers = _as_whole(n_talkers, "n_talkers")

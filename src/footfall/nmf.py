@@ -6,7 +6,7 @@ audio: a relative error in a quiet bin costs as much as the same relative
 error in a loud one, so low-level impact tails are not sacrificed to loud
 voice harmonics. The component set is split in two, and the footstep share
 starts from activations opened only at the observed impacts, one per step
-period (onset_comb), so rhythmic energy settles there while sustained speech
+period (_onset_comb), so rhythmic energy settles there while sustained speech
 lands in the rest. The power factored is |values|**2 of the mixture's
 complex STFT; the footstep stem is those values scaled in place by a
 per-bin Wiener mask and inverted, and the voice stem is the mixture minus
@@ -39,6 +39,12 @@ peak, rounds it to float32 once and zeroes the bins above the capture's
 own Nyquist frequency, which hold only FFT rounding noise once a capture
 below 16 kHz is upsampled; so every fit, the refinement pass's included,
 sweeps the same bits at any mixture level.
+
+nmf_separate is the module's entry point. nmf_fit, which returns the
+fitted NmfModel with its divergence track, and voice_templates are the two
+fits it runs, and stay public so the fits can be driven and timed alone.
+The step-free frames, the onset comb and the masks are private steps of
+nmf_separate, which hands each one a power it has already checked.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from scipy.signal import resample_poly
 
 from .dsp import analyze_padded, synthesize_padded
 from .errors import FootfallError
-from .types import Waveform, _as_float_array, _as_positive, _as_whole
+from .types import Waveform, _as_float_array, _as_positive, _as_whole, _check_instance
 
 R_FOOTSTEP = 8
 R_VOICE = 24  # speech needs the wider template budget for harmonic variety
@@ -83,33 +89,13 @@ _GAP_BINS = 128  # bins below 4 kHz at _RATE, where speech carries its syllabic 
 class NmfModel:
     """Factorization state: templates w (bins x components), activations h.
 
-    The first r_footstep components belong to the footstep source, the
-    remaining r_voice to the voice source. Template columns carry unit L1
+    The first R_FOOTSTEP components belong to the footstep source, the
+    remaining R_VOICE to the voice source. Template columns carry unit L1
     norm; all the scale lives in h.
     """
 
     w: np.ndarray
     h: np.ndarray
-    r_footstep: int
-    r_voice: int
-
-    def __post_init__(self):
-        self.r_footstep = _as_whole(self.r_footstep, "r_footstep")
-        self.r_voice = _as_whole(self.r_voice, "r_voice")
-        r = self.r_footstep + self.r_voice
-        self.w = _as_float_array(self.w, "w", (None, r), nonnegative=True)
-        self.h = _as_float_array(self.h, "h", (r, None), nonnegative=True)
-        col = self.w.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > 1e-6):
-            raise FootfallError(
-                "template columns must have unit L1 norm",
-                worst=float(np.max(np.abs(col - 1.0))),
-            )
-
-    def source_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Modelled power of each source, shapes (n_bins, n_frames)."""
-        rf = self.r_footstep
-        return self.w[:, :rf] @ self.h[:rf], self.w[:, rf:] @ self.h[rf:]
 
 
 def is_divergence(p: np.ndarray, v: np.ndarray) -> float:
@@ -118,17 +104,8 @@ def is_divergence(p: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(r - np.log(r) - 1.0))
 
 
-def _frame_energy(power: np.ndarray) -> np.ndarray:
-    """Per-frame energy of a (bins, frames) power spectrogram; it needs a frame."""
-    power = np.asarray(power)
-    if power.ndim != 2 or power.shape[1] == 0:
-        raise FootfallError("power spectrogram must be 2-d with at least one frame",
-                            shape=tuple(power.shape))
-    return power.sum(axis=0)
-
-
-def onset_comb(power: np.ndarray, period_frames: float,
-               rng: np.random.Generator) -> np.ndarray:
+def _onset_comb(power: np.ndarray, period_frames: float,
+                rng: np.random.Generator) -> np.ndarray:
     """Periodic comb snapped to the observed impact onsets.
 
     Energy peaks at least 0.6 period apart, visited loudest first, give the
@@ -136,10 +113,10 @@ def onset_comb(power: np.ndarray, period_frames: float,
     decay tail. The exact zeros between windows are absorbing under
     multiplicative updates, so footstep components initialized this way can
     never drift into modelling the continuous interference. When no clear
-    impact stands out, every frame is opened.
+    impact stands out, every frame is opened. power and period_frames come
+    checked from nmf_separate.
     """
-    period_frames = _as_positive(period_frames, "period_frames")
-    energy = _frame_energy(power)
+    energy = power.sum(axis=0)
     n = energy.size
     min_gap = max(1, int(round(0.6 * period_frames)))
     floor = np.quantile(energy, 0.4)
@@ -306,16 +283,17 @@ def _mu_sweeps(p, w, h, n_free_cols, iters) -> np.ndarray:
     return np.array(track)
 
 
-def step_free_frames(power: np.ndarray) -> np.ndarray:
+def _step_free_frames(power: np.ndarray) -> np.ndarray:
     """Boolean mask of frames almost surely free of footstep energy.
 
     Footsteps are impulsive: they occupy a minority of frames and push the
     frame energy far above the between-step level. Everything outside the
     loud windows, with a guard for impact decay tails, carries only the
     continuous interference; unlike a lowest-energy pick this keeps the
-    interference at all its levels, not just its own quiet gaps.
+    interference at all its levels, not just its own quiet gaps. power
+    comes checked from nmf_separate.
     """
-    energy = _frame_energy(power)
+    energy = power.sum(axis=0)
     keep = np.ones(energy.size, dtype=bool)
     loud = energy >= np.quantile(energy, 1.0 - _LOUD_FRAC)
     for k in np.flatnonzero(loud):
@@ -352,7 +330,7 @@ def nmf_fit(power: np.ndarray, foot_h: np.ndarray,
     one entry per sweep run: at most iters, fewer once a sweep lowers the
     divergence by no more than a relative _TOL); the track is
     non-increasing. The footstep activations start from foot_h; nmf_separate
-    passes onset_comb's start on the 16 kHz frames it separates every
+    passes _onset_comb's start on the 16 kHz frames it separates every
     capture on. When voice_w is given those templates are pinned and
     only their activations adapt; otherwise the voice share starts random
     and moves freely. iters, a positive integer, caps the sweeps;
@@ -386,16 +364,17 @@ def nmf_fit(power: np.ndarray, foot_h: np.ndarray,
     h[:rf] = foot_h
     h[rf:] = rng.uniform(0.1, 1.0, size=(R_VOICE, n_frames))
     track = _mu_sweeps(p, w, h, n_free, iters)
-    return NmfModel(w=w, h=h, r_footstep=rf, r_voice=R_VOICE), track
+    return NmfModel(w=w, h=h), track
 
 
-def source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
+def _source_masks(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
     """Complementary Wiener masks for the two sources.
 
     Each bin is shared in proportion to the modelled powers, so the two
     masks sum to one everywhere and masked stems sum back to the mixture.
     """
-    foot, voice = model.source_powers()
+    rf = R_FOOTSTEP
+    foot, voice = model.w[:, :rf] @ model.h[:rf], model.w[:, rf:] @ model.h[rf:]
     total = np.maximum(foot + voice, 1e-300)
     return foot / total, voice / total
 
@@ -446,6 +425,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     hold a weak stationary floor (_weak_noise_floor), and ITERS otherwise:
     over a voice, however weak, or when there are no step-free frames.
     """
+    _check_instance(mix, Waveform, "mix")
     step_freq = _as_positive(step_freq, "step_freq")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -466,7 +446,7 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # FFT rounding noise, which would reach the refinement input unfloored.
     power[np.fft.rfftfreq(_WINDOW_LEN, 1 / _RATE) > fs / 2] = 0.0
     period = _RATE / _HOP / step_freq
-    quiet = step_free_frames(power)
+    quiet = _step_free_frames(power)
     # Footstep activations start confined to the observed impacts in both
     # branches. With real interference present, the step-free frames carry
     # a clear energy share; pin voice templates learned there, then refine
@@ -474,15 +454,15 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # fit runs.
     if int(quiet.sum()) >= 2 * R_VOICE and power[:, quiet].sum() > 0.02 * power.sum():
         voice_w = voice_templates(power[:, quiet], rng=rng)
-        foot_h = onset_comb(power, period, rng)
+        foot_h = _onset_comb(power, period, rng)
         model, _ = nmf_fit(power, foot_h, rng=rng, voice_w=voice_w)
-        _, mask_voice = source_masks(model)
+        _, mask_voice = _source_masks(model)
         voice_w = voice_templates(mask_voice**2 * power, rng=rng)
         model, _ = nmf_fit(power, foot_h, rng=rng, voice_w=voice_w)
     else:
         iters = QUIET_ITERS if _weak_noise_floor(power, quiet) else ITERS
-        model, _ = nmf_fit(power, onset_comb(power, period, rng), rng=rng, iters=iters)
-    mask_foot, _ = source_masks(model)
+        model, _ = nmf_fit(power, _onset_comb(power, period, rng), rng=rng, iters=iters)
+    mask_foot, _ = _source_masks(model)
     spec.values *= mask_foot
     foot = synthesize_padded(spec, offset, x.samples.size).samples
     # ceil(ceil(n up / down) down / up) >= n, so the crop never pads

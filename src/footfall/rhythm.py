@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FootfallError
-from .types import Spectrogram, _as_float_array, _as_positive
+from .types import Spectrogram, _as_float_array, _as_positive, _check_instance
 
 PACE_BAND_HZ = (0.8, 2.0)
 MARGIN_DB = 10.0
@@ -59,6 +59,7 @@ def asacc(spec: Spectrogram) -> Asacc:
     b(j) averages B over those rows and is normalized by b(1), which
     cancels any global gain on the spectrogram.
     """
+    _check_instance(spec, Spectrogram, "spec")
     if spec.n_frames < 2:
         raise FootfallError("spectrogram too small for autocorrelation",
                             shape=list(spec.values.shape))
@@ -105,6 +106,7 @@ def rhythm_present(b: Asacc, frame_rate: float) -> StepRhythm:
     quasi-rhythms in voice babble put up a single wandering line at best,
     which fails the harmonic test even when it tops the band.
     """
+    _check_instance(b, Asacc, "b")
     if len(b) < 2 * _LOOKAHEAD:
         raise FootfallError("b too short for 20-bin lookahead", length=len(b))
     frame_rate = _as_positive(frame_rate, "frame_rate")

@@ -31,8 +31,8 @@ from .errors import FootfallError
 from .floors import FloorMaterial
 from .footsteps import FootstepPersona, footstep_parts, place_footstep
 from .interferers import pink_noise, white_noise
-from .types import (MultichannelWaveform, Waveform, _as_float_array, _as_positive, _as_real,
-                    _as_whole, _check_instance)
+from .types import (MultichannelWaveform, Waveform, _as_float_array, _as_instances, _as_positive,
+                    _as_real, _as_whole, _check_instance)
 
 SCENE_BOUND_M = 50.0
 NOISE_KINDS = ("white", "pink")
@@ -114,10 +114,6 @@ class MicArray:
     def n_mics(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
-
 
 @dataclass
 class Walker:
@@ -137,6 +133,8 @@ class Walker:
     perturb_steps: bool = True
 
     def __post_init__(self):
+        _check_instance(self.persona, FootstepPersona, "persona")
+        _check_instance(self.trajectory, Trajectory, "trajectory")
         if not _as_positive(self.stance_width, "stance_width", zero_ok=True) <= 0.5:
             raise FootfallError("stance width out of range", stance_width=self.stance_width)
         if self.step_times is not None:
@@ -176,8 +174,10 @@ class Scene:
     replayed: bool = False
 
     def __post_init__(self):
-        self.walkers = tuple(self.walkers)
-        self.voices = tuple(self.voices)
+        _check_instance(self.floor, FloorMaterial, "floor")
+        _check_instance(self.array, MicArray, "array")
+        self.walkers = _as_instances(self.walkers, Walker, "walkers")
+        self.voices = _as_instances(self.voices, AirSource, "voices")
         self.duration_s = _as_positive(self.duration_s, "duration_s")
         self.sample_rate = _as_whole(self.sample_rate, "sample_rate")
         self.seed = _as_whole(self.seed, "seed", zero_ok=True)
@@ -223,8 +223,8 @@ class GroundTruth:
         times = [s.time_s for s in self.steps if persona is None or s.persona == persona]
         return np.array(times)
 
-    def footstep_mix(self) -> np.ndarray:
-        """Sum of the per-walker stems; zeros when the scene has no walkers."""
+    def footstep_mix(self) -> np.ndarray | None:
+        """Sum of the per-walker stems; None when the scene has no walkers."""
         total = None
         for stem in self.stems.values():
             total = stem.copy() if total is None else total + stem
@@ -406,6 +406,8 @@ def natural_walk(persona: FootstepPersona, start, end, rng: np.random.Generator,
     so the per-step speed is stride * f: speed and cadence rise and fall
     together, the signature of a live walker.
     """
+    _check_instance(persona, FootstepPersona, "persona")
+    _check_instance(rng, np.random.Generator, "rng")
     start = _as_float_array(start, "start", (2,))
     end = _as_float_array(end, "end", (2,))
     start_time = _as_real(start_time, "start_time")

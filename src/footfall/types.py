@@ -58,6 +58,19 @@ def _check_instance(x, cls: type, name: str) -> None:
                             type=type(x).__name__)
 
 
+def _as_instances(items, cls: type, name: str) -> tuple:
+    """items as a tuple of cls instances; otherwise a FootfallError that
+    calls it name."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise FootfallError(f"{name} must be a sequence", argument=name,
+                            type=type(items).__name__) from None
+    for x in items:
+        _check_instance(x, cls, name)
+    return items
+
+
 def _as_float_array(x, name: str, shape: tuple | None, nonnegative: bool = False) -> np.ndarray:
     """x as a finite float64 array, >= 0 throughout when nonnegative.
 

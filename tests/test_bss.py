@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from footfall import FootfallError
-from footfall.bss import (
-    SeparationScore,
-    decompose,
-    score_separation,
-    sdr,
-    sir,
-    snr_db,
-)
+from footfall.bss import decompose, sdr, sir
 
 
 def _orthonormal_signals(k=4, n=4000, seed=3):
@@ -55,28 +48,6 @@ def test_zero_target_rejected():
     t, i, _, _ = _orthonormal_signals()
     with pytest.raises(FootfallError):
         sir(t + i, np.zeros_like(t), [i])
-
-
-def test_snr_db_hand_value():
-    s = np.ones(100)
-    n = 0.5 * np.ones(100)
-    assert snr_db(s, n) == pytest.approx(10 * np.log10(4.0), abs=1e-12)
-
-
-def test_score_separation_packs_both_ratios():
-    t, i, _, _ = _orthonormal_signals()
-    est = t + 0.1 * i
-    score = score_separation(est, t, [i])
-    assert score.sir == pytest.approx(sir(est, t, [i]), abs=1e-12)
-    assert score.sdr == pytest.approx(sdr(est, t, [i]), abs=1e-12)
-    assert score.to_dict() == {"sir_db": score.sir, "sdr_db": score.sdr}
-
-
-def test_score_rejects_impossible_pairs():
-    with pytest.raises(FootfallError):
-        SeparationScore(sir=np.nan, sdr=0.0)
-    with pytest.raises(FootfallError):
-        SeparationScore(sir=-10.0, sdr=60.0)
 
 
 def _bad(x, kind):

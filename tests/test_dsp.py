@@ -4,8 +4,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
+from footfall.detect import detect_events, energy_gate, gate_threshold
 from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
-from footfall.scenes import AirSource, emulate_attack, render_scene
+from footfall.floors import CONCRETE_SLAB, arrival_gap, dispersion_speed, material_for_speed
+from footfall.footsteps import FootstepPersona, footstep_parts, place_footstep, synth_footstep
+from footfall.gmm import GmmModel, gmm_classify
+from footfall.idnet import IdNet, TrainSet, forward, identify, save_checkpoint, train_adversarial
+from footfall.interferers import babble, pink_noise, white_noise
+from footfall.nmf import nmf_separate
+from footfall.rhythm import asacc, rhythm_present
+from footfall.scenes import (AirSource, MicArray, Scene, Trajectory, Walker, emulate_attack,
+                             natural_walk, render_scene)
 from footfall.types import Spectrogram
 from footfall.wiener import wiener_residual_suppress
 
@@ -279,6 +288,22 @@ def test_window_and_hop_must_be_positive_whole_numbers(entry, name, value):
     assert np.array_equal(_sizes_through(entry, 512.0, 256.0), _sizes_through(entry, 512, 256))
 
 
+def _persona():
+    return FootstepPersona("p", 1.0, 0.002, ((70.0, 30.0, 1.0),))
+
+
+def _line():
+    return Trajectory(np.array([0.0, 2.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def _scene(**fields):
+    return Scene(**{"floor": CONCRETE_SLAB, "array": MicArray(np.zeros((1, 2))), **fields})
+
+
+_GMM = {"a": GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))}
+_SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: AirSource("x", [0, 0]), "waveform"),
     (lambda: stft("abc", 512, 256), "w"),
@@ -289,8 +314,51 @@ def test_window_and_hop_must_be_positive_whole_numbers(entry, name, value):
     (lambda: wiener_residual_suppress(_noise_wave(), np.ones((257, 3))), "noise_floor"),
     (lambda: render_scene("abc"), "scene"),
     (lambda: emulate_attack("abc", [0.0, 0.0], [1.0, 1.0]), "scene"),
+    (lambda: nmf_separate("x", 1.5), "mix"),
+    (lambda: asacc("x"), "spec"),
+    (lambda: rhythm_present(np.ones(64), 62.5), "b"),
+    (lambda: energy_gate("x", 160, 0.1), "w"),
+    (lambda: gate_threshold("x", 160), "w"),
+    (lambda: detect_events("x", _GMM, 160), "w"),
+    (lambda: detect_events(_SILENCE, {"a": "x"}, 160), "models"),
+    (lambda: detect_events(_SILENCE, ["x"], 160), "models"),
+    (lambda: gmm_classify({"a": "x"}, np.zeros((4, 2))), "models"),
+    (lambda: footstep_parts("x", CONCRETE_SLAB, 16000), "persona"),
+    (lambda: place_footstep("x", CONCRETE_SLAB, 1.0), "parts"),
+    (lambda: place_footstep(footstep_parts(_persona(), CONCRETE_SLAB, 16000), "x", 1.0),
+     "material"),
+    (lambda: synth_footstep(_persona(), "x", 1.0, 16000), "material"),
+    (lambda: dispersion_speed("x", 1000.0), "material"),
+    (lambda: arrival_gap(1.0, "x", 1000.0), "material"),
+    (lambda: material_for_speed(250.0, base="x"), "base"),
+    (lambda: forward("x", np.zeros((32, 16))), "net"),
+    (lambda: identify("x", [np.zeros((32, 16))]), "net"),
+    (lambda: save_checkpoint("unused.npz", "x", np.zeros((2, 16))), "net"),
+    (lambda: train_adversarial("x"), "dataset"),
+    (lambda: train_adversarial(TrainSet(np.zeros((2, 32, 16)), [0, 1], [0, 0]), "x"),
+     "config"),
+    (lambda: babble(1.0, 16000, None), "rng"),
+    (lambda: pink_noise(100, None), "rng"),
+    (lambda: white_noise(100, None), "rng"),
+    (lambda: _scene(floor="x"), "floor"),
+    (lambda: _scene(array="x"), "array"),
+    (lambda: _scene(walkers=("x",)), "walkers"),
+    (lambda: _scene(walkers=5), "walkers"),
+    (lambda: _scene(voices=("x",)), "voices"),
+    (lambda: Walker("x", _line()), "persona"),
+    (lambda: Walker(_persona(), "x"), "trajectory"),
+    (lambda: natural_walk("x", [0, 0], [1, 0], np.random.default_rng(0)), "persona"),
+    (lambda: natural_walk(_persona(), [0, 0], [1, 0], None), "rng"),
 ], ids=["air-source", "stft", "analyze_padded", "istft", "synthesize_padded", "wiener-noisy",
-        "wiener-floor", "render_scene", "emulate_attack"])
+        "wiener-floor", "render_scene", "emulate_attack", "nmf_separate", "asacc",
+        "rhythm_present", "energy_gate", "gate_threshold", "detect_events",
+        "detect_events-no-segment-models", "detect_events-models-list", "gmm_classify",
+        "footstep_parts", "place_footstep-parts", "place_footstep-material",
+        "synth_footstep", "dispersion_speed", "arrival_gap", "material_for_speed", "forward",
+        "identify", "save_checkpoint", "train_adversarial-dataset", "train_adversarial-config",
+        "babble", "pink_noise", "white_noise", "scene-floor", "scene-array", "scene-walkers",
+        "scene-walkers-not-a-sequence", "scene-voices", "walker-persona", "walker-trajectory",
+        "natural_walk-persona", "natural_walk-rng"])
 def test_a_container_argument_of_the_wrong_type_raises_by_name(call, name):
     with pytest.raises(FootfallError) as err:
         call()

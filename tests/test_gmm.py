@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from footfall.errors import FootfallError
-from footfall.gmm import GmmModel, gmm_classify, gmm_fit
+from footfall.gmm import gmm_classify, gmm_fit
 
 
 def _blob(rng, center, scale, n):
@@ -53,17 +53,6 @@ def test_degenerate_and_undersized_data_rejected():
         gmm_fit(np.ones((50, 3)), k=2, seed=0)
     with pytest.raises(FootfallError):
         gmm_fit(np.random.default_rng(0).standard_normal((15, 3)), k=2, seed=0)
-
-
-def test_model_roundtrips_through_json(tmp_path):
-    rng = np.random.default_rng(6)
-    model = gmm_fit(_blob(rng, np.zeros(2), 1.0, 200), k=2, seed=1)
-    path = tmp_path / "model.json"
-    model.save(path)
-    back = GmmModel.load(path)
-    assert np.array_equal(back.weights, model.weights)
-    assert np.array_equal(back.means, model.means)
-    assert np.array_equal(back.variances, model.variances)
 
 
 def test_classify_picks_the_generating_model():

@@ -201,6 +201,14 @@ def test_identify_unanimous_and_errors(trained):
         identify(trained.net, patches, "best-of-7")
 
 
+@pytest.mark.parametrize("shape", [(3, 32, 16), (1, 32, 16), (32, 15)])
+def test_identify_refuses_an_element_that_is_not_one_patch(shape):
+    # a stack of patches used to vote with its first patch alone
+    with pytest.raises(FootfallError) as err:
+        identify(IdNet(2, 1), [np.ones(shape)])
+    assert err.value.details == {"argument": "patches", "shape": list(shape)}
+
+
 def test_identify_never_invents_an_id(trained):
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -18,3 +18,11 @@ def test_console_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_exported_name_resolves():
+    import footfall
+
+    assert len(set(footfall.__all__)) == len(footfall.__all__)
+    for name in footfall.__all__:
+        assert hasattr(footfall, name), name
