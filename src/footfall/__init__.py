@@ -13,7 +13,7 @@ from .bss import sdr, sir
 from .errors import FootfallError
 from .floors import CONCRETE_SLAB, WOOD_JOIST, FloorMaterial, arrival_gap, dispersion_speed
 from .footsteps import FootstepPersona, synth_footstep
-from .interferers import babble, pink_noise, white_noise
+from .interferers import babble, pink_noise
 from .nmf import nmf_separate
 from .wiener import wiener_residual_suppress
 from .scenes import (
@@ -57,7 +57,6 @@ __all__ = [
     "sdr",
     "sir",
     "synth_footstep",
-    "white_noise",
     "wiener_residual_suppress",
     "__version__",
 ]

@@ -38,16 +38,14 @@ class Segment:
 
 
 @dataclass
-class DetectionEvent:
+class DetectionEvent(Segment):
     """A classified segment; label carries the winning class."""
 
-    onset_s: float
-    duration_s: float
     label: str
     log_likelihoods: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _as_positive(self.duration_s, "duration_s")
+        super().__post_init__()
         if self.log_likelihoods:
             best = max(self.log_likelihoods.values())
             if self.log_likelihoods.get(self.label) != best:

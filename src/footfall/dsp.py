@@ -1,4 +1,4 @@
-"""Short-time analysis primitives: STFT, inverse STFT, RMS level.
+"""Short-time analysis primitives: STFT and inverse STFT.
 
 A spectrogram is the complex STFT itself, and istft inverts those complex
 values directly: a filter scales them by its real gain in place and
@@ -21,14 +21,6 @@ _OLA_FLOOR = 1e-8
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window (DFT-even), sums to a constant under 50% overlap."""
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def rms(w: Waveform | np.ndarray) -> float:
-    """Root-mean-square level of a waveform."""
-    x = w.samples if isinstance(w, Waveform) else _as_float_array(w, "w", None)
-    if x.size == 0:
-        raise FootfallError("rms of empty waveform")
-    return float(np.sqrt(np.mean(x * x)))
 
 
 def _frame(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
@@ -61,17 +53,19 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return acc.reshape(-1)[: (n_frames - 1) * hop + window_len]
 
 
-def ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+def _ola_weight(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     """Sum of squared analysis windows overlapped at the given hop.
 
     Away from the first and last window_len samples, every block of one hop
     holds the same sum. So the blocks are summed for at most
     ceil(window_len / hop) frames, chunk by chunk in _overlap_add's order,
     and the full block is repeated: the same bits as overlap-adding
-    n_frames windows.
+    n_frames windows. Overlap-adding the broadcast squared window with
+    _overlap_add gives the same bits too, but took 0.68 ms against 0.19 ms
+    at 1881 frames (10 s at 48 kHz) on a 2-vCPU Xeon VM, where a whole istft
+    took 10 ms. istft, the one caller, passes a checked hop and n_frames >= 1.
     """
-    window_len, hop = _check_hop(window.size, hop)
-    n_frames = _as_whole(n_frames, "n_frames")
+    window_len = window.size
     wsq = window * window
     k = -(-window_len // hop)
     chunks = np.pad(wsq, (0, k * hop - window_len)).reshape(k, hop)
@@ -126,7 +120,7 @@ def istft(spec: Spectrogram) -> Waveform:
     frames = np.fft.irfft(z.T, n=window_len, axis=1)
     n_frames = frames.shape[0]
     n = (n_frames - 1) * hop + window_len
-    den = ola_weight(window, hop, n_frames)
+    den = _ola_weight(window, hop, n_frames)
     # Overlap-add requires the interior weight to stay bounded away from zero.
     interior = den[window_len : n - window_len]
     if interior.size and interior.min() < _OLA_FLOOR * den.max():

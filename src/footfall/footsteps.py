@@ -4,10 +4,10 @@ A step excites a bank of damped floor resonances with a short impact pulse.
 The listener hears two copies:
 
   air path        full mode set, delayed by range / c_air, attenuated 1/range
-  structure path  the same modes low-pass weighted (material damping grows
-                  with frequency) and sent through an all-pass dispersive
-                  filter whose group delay at frequency f is range / c_f(f),
-                  attenuated 1/sqrt(range)
+  structure path  the same modes weighted by exp(-f / 800 Hz), one fixed
+                  roll-off whatever the floor, and sent through an all-pass
+                  dispersive filter whose group delay at frequency f is
+                  range / c_f(f), attenuated 1/sqrt(range)
 
 The dispersive filter is a pure phase in the frequency domain, so the
 structural path preserves energy exactly before the geometric attenuation.
@@ -87,6 +87,7 @@ class FootstepPersona:
 
     def perturbed(self, rng: np.random.Generator):
         """Per-step natural variation; draws are consumed in a fixed order."""
+        _check_instance(rng, np.random.Generator, "rng")
         force = self.impact_force_scale * (1.0 + _FORCE_JITTER * rng.standard_normal())
         dur = self.impact_duration_s * (1.0 + _DURATION_JITTER * rng.standard_normal())
         modes = tuple(
@@ -126,7 +127,7 @@ class FootstepParts:
         return self._at_length[1]
 
 
-def impact_pulse(duration_s: float, sample_rate: int, scale: float) -> np.ndarray:
+def _impact_pulse(duration_s: float, sample_rate: int, scale: float) -> np.ndarray:
     """Force-rate pulse of a heel strike: one sine cycle over the contact time.
 
     Shorter contacts hit harder: amplitude scales with the reference contact
@@ -160,7 +161,7 @@ def footstep_parts(persona: FootstepPersona, material: FloorMaterial, sample_rat
             max_mode_hz=persona.max_mode_hz,
             sample_rate=sample_rate,
         )
-    pulse = impact_pulse(persona.impact_duration_s, sample_rate, persona.impact_force_scale)
+    pulse = _impact_pulse(persona.impact_duration_s, sample_rate, persona.impact_force_scale)
     air = None
     structure = None
     for f, d, a in persona.modes:
@@ -239,10 +240,17 @@ def place_footstep(
 ) -> np.ndarray:
     """Mix one step into `out` (allocated if None) at the given range.
 
-    offset is the sample index of the impact instant. Returns the buffer.
+    out is a writable 1-D float64 ndarray; offset is the sample index of the
+    impact instant. Returns the buffer.
     """
     _check_instance(parts, FootstepParts, "parts")
     _check_instance(material, FloorMaterial, "material")
+    # no pass over the samples: a capture-length out comes once per step and microphone
+    if out is not None and not (isinstance(out, np.ndarray) and out.ndim == 1
+                                and out.dtype == np.float64 and out.flags.writeable):
+        raise FootfallError("out must be a writable 1-D float64 ndarray", argument="out",
+                            type=type(out).__name__,
+                            shape=list(out.shape) if isinstance(out, np.ndarray) else None)
     if _as_positive(range_m, "range_m") > 150.0:
         raise FootfallError("range out of bounds", range_m=range_m)
     offset = _as_whole(offset, "offset", zero_ok=True)

@@ -50,6 +50,7 @@ PATCH_SHAPE = (32, 16)
 FEATURE_DIM = 16
 DROP_RATE = 0.65
 CENTER_ALPHA = 0.5
+CENTER_WEIGHT = 0.1  # lam, the center-loss weight in L_eta = L_u + lam * L_c / batch
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
 _PROB_CLAMP = 1e-12
@@ -344,7 +345,6 @@ class TrainSet:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
-    lam: float = 0.1          # center-loss weight in L_eta = L_u + lam * L_c
     lam_grl: float = 1.0      # reversal strength after warm-up
     lr: float = 0.01
     batch: int = 32
@@ -356,8 +356,7 @@ class TrainConfig:
             value = _as_whole(getattr(self, name), name, zero_ok=name == "seed")
             object.__setattr__(self, name, value)
         _as_positive(self.lr, "lr")
-        for name in ("lam", "lam_grl"):
-            _as_positive(getattr(self, name), name, zero_ok=True)
+        _as_positive(self.lam_grl, "lam_grl", zero_ok=True)
         if not _as_positive(self.val_fraction, "val_fraction", zero_ok=True) < 1.0:
             raise FootfallError("val_fraction must be in [0, 1)",
                                 val_fraction=self.val_fraction)
@@ -416,7 +415,7 @@ def train_adversarial(dataset: TrainSet, config: TrainConfig = TrainConfig()) ->
         for lo in starts:
             idx = perm[lo:lo + config.batch]
             losses, grads, f = _train_step(net, x[idx], dataset.users[idx],
-                                           dataset.domains[idx], centers, config.lam,
+                                           dataset.domains[idx], centers, CENTER_WEIGHT,
                                            lam_grl, rng)
             if not (np.all(np.isfinite(losses))
                     and all(np.isfinite(s).all() for s in net.running.values())):

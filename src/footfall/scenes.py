@@ -30,12 +30,12 @@ import numpy as np
 from .errors import FootfallError
 from .floors import FloorMaterial
 from .footsteps import FootstepPersona, footstep_parts, place_footstep
-from .interferers import pink_noise, white_noise
+from .interferers import pink_noise
 from .types import (MultichannelWaveform, Waveform, _as_float_array, _as_instances, _as_positive,
                     _as_real, _as_whole, _check_instance)
 
 SCENE_BOUND_M = 50.0
-NOISE_KINDS = ("white", "pink")
+NOISE_KINDS = ("pink",)
 _WORKERS = 2  # threads that render the walkers
 
 
@@ -149,12 +149,10 @@ class AirSource:
 
     waveform: Waveform
     position: np.ndarray
-    gain: float = 1.0
 
     def __post_init__(self):
         _check_instance(self.waveform, Waveform, "waveform")
         self.position = _as_float_array(self.position, "position", (2,))
-        self.gain = _as_real(self.gain, "gain")
 
 
 @dataclass
@@ -185,7 +183,7 @@ class Scene:
             if getattr(self, target) is not None:
                 setattr(self, target, _as_real(getattr(self, target), target))
         if self.noise_kind is not None and self.noise_kind not in NOISE_KINDS:
-            raise FootfallError("unknown noise kind", noise_kind=self.noise_kind)
+            raise FootfallError("noise_kind must be 'pink' or None", noise_kind=self.noise_kind)
         names = [w.persona.name for w in self.walkers]
         if len(set(names)) != len(names):
             raise FootfallError("walker persona names must be unique", names=names)
@@ -309,7 +307,7 @@ def _render_air_source(source: AirSource, scene: Scene, out: np.ndarray):
         if delay >= n:
             continue
         seg = source.waveform.samples[: n - delay]
-        out[c, delay:delay + seg.size] += (source.gain / r) * seg
+        out[c, delay:delay + seg.size] += (1.0 / r) * seg
 
 
 def _energy(x: np.ndarray) -> float:
@@ -327,8 +325,7 @@ def _air_and_noise(scene: Scene, n: int) -> tuple:
     noise_stem = None
     if scene.noise_kind is not None:
         rng = _stream(scene.seed, "ambient:" + scene.noise_kind)
-        make = white_noise if scene.noise_kind == "white" else pink_noise
-        noise_stem = np.stack([make(n, rng) for _ in range(n_mics)])
+        noise_stem = np.stack([pink_noise(n, rng) for _ in range(n_mics)])
     return voice_stem, noise_stem
 
 

@@ -51,10 +51,12 @@ def _as_positive(x, name: str, zero_ok: bool = False) -> float:
     return value
 
 
-def _check_instance(x, cls: type, name: str) -> None:
-    """A FootfallError that calls x name unless x is a cls."""
+def _check_instance(x, cls: type | tuple, name: str) -> None:
+    """A FootfallError that calls x name unless x is a cls, or one of a
+    tuple of classes."""
     if not isinstance(x, cls):
-        raise FootfallError(f"{name} must be a {cls.__name__}", argument=name,
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise FootfallError(f"{name} must be a {kinds}", argument=name,
                             type=type(x).__name__)
 
 

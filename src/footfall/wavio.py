@@ -10,13 +10,14 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import FootfallError
-from .types import MultichannelWaveform, Waveform
+from .types import MultichannelWaveform, Waveform, _check_instance
 
 _PCM16_SCALE = 32767.0
 
 
 def write_wav(path, w: Waveform | MultichannelWaveform, encoding: str = "float32") -> None:
     """Write a waveform; encoding is 'float32' or 'pcm16'."""
+    _check_instance(w, (Waveform, MultichannelWaveform), "w")
     data = w.samples.T if isinstance(w, MultichannelWaveform) else w.samples
     if encoding == "float32":
         wavfile.write(str(path), w.sample_rate, data.astype(np.float32))

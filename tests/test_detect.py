@@ -12,7 +12,7 @@ from footfall.errors import FootfallError
 from footfall.floors import CONCRETE_SLAB
 from footfall.footsteps import FootstepPersona, synth_footstep
 from footfall.gmm import gmm_fit
-from footfall.interferers import babble, white_noise
+from footfall.interferers import babble
 from footfall.mfc import mfc
 from footfall.types import Waveform
 
@@ -112,9 +112,10 @@ def _clip_bank(kind, n, seed):
             x = synth_footstep(persona, CONCRETE_SLAB, r, FS).samples
             k = int(r / CONCRETE_SLAB.air_speed * FS)  # cover the air arrival
             clips.append(x[k:k + span])
-    elif kind == "white":
+    elif kind == "white":  # unit-RMS Gaussian noise at 0.1
         for _ in range(n):
-            clips.append(0.1 * white_noise(span, rng))
+            x = rng.standard_normal(span)
+            clips.append(0.1 * (x / np.sqrt(np.mean(x * x))))
     else:
         source = babble(0.3 * n + 1.0, FS, rng).samples
         for i in range(n):

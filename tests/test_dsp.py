@@ -5,40 +5,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
 from footfall.detect import detect_events, energy_gate, gate_threshold
-from footfall.dsp import analyze_padded, hann_window, istft, ola_weight, rms, stft, synthesize_padded
+from footfall.dsp import _ola_weight, analyze_padded, hann_window, istft, stft, synthesize_padded
 from footfall.floors import CONCRETE_SLAB, arrival_gap, dispersion_speed, material_for_speed
 from footfall.footsteps import FootstepPersona, footstep_parts, place_footstep, synth_footstep
 from footfall.gmm import GmmModel, gmm_classify
 from footfall.idnet import IdNet, TrainSet, forward, identify, save_checkpoint, train_adversarial
-from footfall.interferers import babble, pink_noise, white_noise
+from footfall.interferers import babble, pink_noise
 from footfall.nmf import nmf_separate
 from footfall.rhythm import asacc, rhythm_present
 from footfall.scenes import (AirSource, MicArray, Scene, Trajectory, Walker, emulate_attack,
                              natural_walk, render_scene)
 from footfall.types import Spectrogram
+from footfall.wavio import write_wav
 from footfall.wiener import wiener_residual_suppress
 
 
 def _noise_wave(n=8192, sr=16000, seed=0):
     rng = np.random.default_rng(seed)
     return Waveform(rng.standard_normal(n), sr)
-
-
-def test_rms_hand_values():
-    # sqrt((9 + 16) / 2) = sqrt(12.5)
-    assert rms(Waveform(np.array([3.0, -4.0]), 16000)) == pytest.approx(np.sqrt(12.5), abs=1e-12)
-    assert rms(Waveform(np.ones(100), 16000)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rms_full_period_sine():
-    t = np.arange(16000) / 16000.0
-    w = Waveform(np.sin(2 * np.pi * 100 * t), 16000)
-    assert rms(w) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
-
-
-def test_rms_scales_linearly():
-    w = _noise_wave()
-    assert rms(Waveform(2.5 * w.samples, w.sample_rate)) == pytest.approx(2.5 * rms(w), rel=1e-12)
 
 
 def test_stft_shape():
@@ -70,7 +54,7 @@ def test_istft_round_trip_interior():
     w = _noise_wave(8192)
     back = istft(stft(w, 512, 256))
     sl = slice(512, 8192 - 512)
-    err = rms(Waveform(back.samples[sl] - w.samples[sl], w.sample_rate))
+    err = np.sqrt(np.mean((back.samples[sl] - w.samples[sl]) ** 2))
     assert err <= 1e-6
 
 
@@ -104,14 +88,14 @@ def test_istft_rejects_non_invertible_overlap():
 def test_ola_weight_bounded_away_from_zero_at_half_overlap():
     # squared-Hann weight at 50% overlap dips to half but never vanishes,
     # which is what weighted overlap-add needs
-    den = ola_weight(hann_window(512), 256, 16)
+    den = _ola_weight(hann_window(512), 256, 16)
     interior = den[512:-512]
     assert interior.min() >= 0.5 - 1e-12
 
 
 def test_ola_weight_constant_at_quarter_hop():
     # squared Hann is constant-overlap-add at hop = window / 4
-    den = ola_weight(hann_window(512), 128, 32)
+    den = _ola_weight(hann_window(512), 128, 32)
     interior = den[512:-512]
     assert np.ptp(interior) < 1e-9 * den.max()
 
@@ -130,7 +114,7 @@ def test_overlap_add_matches_a_frame_loop_bitwise(window_len, hop):
     spec = stft(_noise_wave(), window_len, hop)
     window = hann_window(window_len)
     den = _loop_overlap_add(np.tile(window * window, (spec.n_frames, 1)), hop)
-    assert np.array_equal(ola_weight(window, hop, spec.n_frames), den)
+    assert np.array_equal(_ola_weight(window, hop, spec.n_frames), den)
     frames = np.fft.irfft(spec.values.T, n=window_len, axis=1) * window
     acc = _loop_overlap_add(frames, hop)
     want = np.where(den > dsp._OLA_FLOOR * den.max(), acc / np.maximum(den, 1e-300), 0.0)
@@ -142,14 +126,7 @@ def test_overlap_add_matches_a_frame_loop_bitwise(window_len, hop):
 def test_ola_weight_matches_a_frame_loop_bitwise_for_few_frames(window_len, hop, n_frames):
     window = hann_window(window_len)
     den = _loop_overlap_add(np.tile(window * window, (n_frames, 1)), hop)
-    assert np.array_equal(ola_weight(window, hop, n_frames), den)
-
-
-@pytest.mark.parametrize("n_frames", [0, -1, 2.5])
-def test_ola_weight_rejects_a_frame_count_that_is_not_positive(n_frames):
-    with pytest.raises(FootfallError) as err:
-        ola_weight(hann_window(512), 256, n_frames)
-    assert err.value.details == {"n_frames": n_frames}
+    assert np.array_equal(_ola_weight(window, hop, n_frames), den)
 
 
 def test_stft_requires_full_window():
@@ -339,7 +316,6 @@ _SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
      "config"),
     (lambda: babble(1.0, 16000, None), "rng"),
     (lambda: pink_noise(100, None), "rng"),
-    (lambda: white_noise(100, None), "rng"),
     (lambda: _scene(floor="x"), "floor"),
     (lambda: _scene(array="x"), "array"),
     (lambda: _scene(walkers=("x",)), "walkers"),
@@ -349,6 +325,8 @@ _SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
     (lambda: Walker(_persona(), "x"), "trajectory"),
     (lambda: natural_walk("x", [0, 0], [1, 0], np.random.default_rng(0)), "persona"),
     (lambda: natural_walk(_persona(), [0, 0], [1, 0], None), "rng"),
+    (lambda: write_wav("unused.wav", "x"), "w"),
+    (lambda: _persona().perturbed(None), "rng"),
 ], ids=["air-source", "stft", "analyze_padded", "istft", "synthesize_padded", "wiener-noisy",
         "wiener-floor", "render_scene", "emulate_attack", "nmf_separate", "asacc",
         "rhythm_present", "energy_gate", "gate_threshold", "detect_events",
@@ -356,9 +334,9 @@ _SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
         "footstep_parts", "place_footstep-parts", "place_footstep-material",
         "synth_footstep", "dispersion_speed", "arrival_gap", "material_for_speed", "forward",
         "identify", "save_checkpoint", "train_adversarial-dataset", "train_adversarial-config",
-        "babble", "pink_noise", "white_noise", "scene-floor", "scene-array", "scene-walkers",
+        "babble", "pink_noise", "scene-floor", "scene-array", "scene-walkers",
         "scene-walkers-not-a-sequence", "scene-voices", "walker-persona", "walker-trajectory",
-        "natural_walk-persona", "natural_walk-rng"])
+        "natural_walk-persona", "natural_walk-rng", "write_wav", "perturbed"])
 def test_a_container_argument_of_the_wrong_type_raises_by_name(call, name):
     with pytest.raises(FootfallError) as err:
         call()

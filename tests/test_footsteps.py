@@ -204,6 +204,16 @@ def test_negative_offset_rejected():
         assert err.value.details["offset"] == -1
 
 
+@pytest.mark.parametrize("out", [[0.0] * 16000, np.zeros((2, 16000)),
+                                 np.zeros(16000, np.float32), np.broadcast_to(0.0, 16000)],
+                         ids=["list", "2-d", "float32", "read-only"])
+def test_place_footstep_out_must_be_a_writable_1d_float64_array(out):
+    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    with pytest.raises(FootfallError) as err:
+        place_footstep(parts, CONCRETE_SLAB, 1.0, out=out)
+    assert err.value.details["argument"] == "out"
+
+
 def test_shared_parts_place_like_fresh_parts():
     # one parts object serves every microphone of a step; its kept spectrum
     # must give the same samples as fresh parts, across FFT-length changes

@@ -3,6 +3,7 @@ import pytest
 
 from footfall.errors import FootfallError
 from footfall.idnet import (
+    CENTER_WEIGHT,
     FEATURE_DIM,
     IdNet,
     TrainConfig,
@@ -172,7 +173,7 @@ def test_training_step_is_momentum_sgd():
     for lam_grl in (0.0, 1.0):  # the reversal ramp over two epochs
         idx = order[rng.permutation(order.size)]
         _, grads, f = _train_step(net, x[idx], ds.users[idx], ds.domains[idx],
-                                  centers, config.lam, lam_grl, rng)
+                                  centers, CENTER_WEIGHT, lam_grl, rng)
         for name, g in grads.items():
             velocity[name] = 0.9 * velocity[name] + g
             net.p[name] = net.p[name] - config.lr * velocity[name]

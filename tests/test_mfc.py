@@ -3,7 +3,7 @@ import pytest
 
 from footfall import Waveform
 from footfall.errors import FootfallError
-from footfall.mfc import _mel_filterbank, hz_to_mel, mel_filterbank, mel_to_hz, mfc
+from footfall.mfc import _hz_to_mel, _mel_filterbank, _mel_to_hz, mfc
 
 
 def _tone_mix(n=8192, sr=16000, seed=1):
@@ -17,12 +17,12 @@ def _tone_mix(n=8192, sr=16000, seed=1):
 
 def test_mel_scale_known_point():
     # 2595 * log10(1 + 1000/700) = 999.9856 mel
-    assert hz_to_mel(1000.0) == pytest.approx(999.9856, abs=1e-3)
-    assert mel_to_hz(hz_to_mel(1234.5)) == pytest.approx(1234.5, rel=1e-10)
+    assert _hz_to_mel(1000.0) == pytest.approx(999.9856, abs=1e-3)
+    assert _mel_to_hz(_hz_to_mel(1234.5)) == pytest.approx(1234.5, rel=1e-10)
 
 
 def test_filterbank_shape_and_support():
-    fb = mel_filterbank(512, 16000)
+    fb = _mel_filterbank(512, 16000)
     assert fb.shape == (26, 257)
     assert np.all(fb >= 0)
     # every filter has nonzero support
@@ -58,13 +58,15 @@ def test_mfc_deterministic():
 
 
 def test_filterbank_is_built_once_and_read_only():
-    fb = mel_filterbank(512, 16000)
-    assert mel_filterbank(512, 16000) is fb
+    fb = _mel_filterbank(512, 16000)
+    assert _mel_filterbank(512, 16000) is fb
     assert not fb.flags.writeable
     with pytest.raises(ValueError):
         fb[0, 0] = 1.0
     assert np.array_equal(fb, _mel_filterbank.__wrapped__(512, 16000))
-    assert mel_filterbank(512.0, np.int64(16000)) is fb
+    # mfc builds it from the spectrogram's checked ints, so float sizes are legal
+    w = _tone_mix()
+    assert np.array_equal(mfc(w, 512.0, 256.0), mfc(w, 512, 256))
 
 
 @pytest.mark.parametrize("window_len, sample_rate, name", [
@@ -72,8 +74,12 @@ def test_filterbank_is_built_once_and_read_only():
     (512, None, "sample_rate"), (512, float("nan"), "sample_rate")],
     ids=["str-window", "fractional-window", "zero-window", "None-rate", "nan-rate"])
 def test_filterbank_sizes_must_be_positive_whole_numbers(window_len, sample_rate, name):
+    # the sizes reach the filterbank only through mfc's checked Spectrogram;
+    # a waveform's rate can be reassigned after it was checked
+    w = _tone_mix()
+    w.sample_rate = sample_rate
     with pytest.raises(FootfallError) as err:
-        mel_filterbank(window_len, sample_rate)
+        mfc(w, window_len)
     assert name in err.value.details
 
 

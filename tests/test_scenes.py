@@ -211,7 +211,7 @@ def test_voice_scaled_to_target_sir(target):
 
 
 def test_noise_scaled_to_target_snr():
-    out, truth = render_scene(_walk_scene(noise_kind="white", target_snr_db=10.0))
+    out, truth = render_scene(_walk_scene(noise_kind="pink", target_snr_db=10.0))
     feet = truth.footstep_mix()
     measured = 10.0 * np.log10(np.sum(feet ** 2) / np.sum(truth.noise_stem ** 2))
     assert abs(measured - 10.0) < 0.5
@@ -367,12 +367,13 @@ def test_scene_rejects_a_sample_rate_that_is_not_a_positive_whole_number(rate):
     (lambda: _walk_scene(voices=(_talk(),), target_sir_db=float("inf")), "target_sir_db"),
     (lambda: _walk_scene(voices=(_talk(),), target_sir_db=-float("inf")), "target_sir_db"),
     (lambda: _walk_scene(noise_kind="pink", target_snr_db=float("nan")), "target_snr_db"),
+    (lambda: _walk_scene(noise_kind="white"), "noise_kind"),
     (lambda: natural_walk(_persona(), [0, 0], [1, 0], np.random.default_rng(0), start_time="0"),
      "start_time"),
     (lambda: natural_walk(_persona(), [0, 0], [1, 0], np.random.default_rng(0), stride_noise=-1),
      "stride_noise"),
 ], ids=["negative-seed", "fractional-seed", "str-duration", "inf-sir", "minus-inf-sir",
-        "nan-snr", "str-walk-start", "negative-stride-noise"])
+        "nan-snr", "white-noise", "str-walk-start", "negative-stride-noise"])
 def test_scene_rejects_a_bad_setting_by_name(make, key):
     with pytest.raises(FootfallError) as err:
         make()
