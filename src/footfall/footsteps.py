@@ -13,8 +13,8 @@ The dispersive filter is a pure phase in the frequency domain, so the
 structural path preserves energy exactly before the geometric attenuation.
 High frequencies outrun low ones, which turns the click into the low rumble
 that precedes the airborne arrival. place_footstep is the one entry to that
-filter: footstep_parts makes a step's range-free templates once, and
-place_footstep disperses and mixes them at each microphone's range.
+filter: footstep_parts makes a step's floor- and range-free templates once,
+and place_footstep disperses and mixes them at each microphone's range.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from .errors import FootfallError
-from .floors import FloorMaterial, dispersion_speed
+from .floors import FloorMaterial
 from .types import Waveform, _as_positive, _as_whole, _check_instance
 
 # structural coupling rolls off with frequency; air keeps the full mode set
 STRUCTURE_LOWPASS_HZ = 800.0
-AIR_GAIN = 1.0
 STRUCTURE_GAIN = 0.9
 _REFERENCE_IMPACT_S = 0.002
 _RING_DECAY = 11.5  # synthesize modes until exp(-d t) ~ 1e-5
@@ -104,7 +103,7 @@ class FootstepPersona:
 
 @dataclass
 class FootstepParts:
-    """Range-independent templates of one step on one floor.
+    """Range- and floor-independent templates of one step.
 
     The templates are read-only once made: the spectrum of structure_source
     and the range-free part of the dispersive delay are kept for the last
@@ -150,7 +149,7 @@ def _mode_response(freq: float, damping: float, amplitude: float, sample_rate: i
     return out
 
 
-def footstep_parts(persona: FootstepPersona, material: FloorMaterial, sample_rate: int) -> FootstepParts:
+def footstep_parts(persona: FootstepPersona, sample_rate: int) -> FootstepParts:
     """Synthesize the templates shared by every microphone."""
     _check_instance(persona, FootstepPersona, "persona")
     sample_rate = _as_whole(sample_rate, "sample_rate")
@@ -186,7 +185,7 @@ _DISPERSION_CUTOFF_HZ = 20.0
 def _dispersed_length(size: int, material: FloorMaterial, range_m: float,
                       sample_rate: int) -> int:
     """FFT length that holds `size` samples plus the slowest arrival."""
-    tau_max = range_m / (dispersion_speed(material, 1.0) * np.sqrt(_DISPERSION_CUTOFF_HZ))
+    tau_max = range_m / (material.speed_1hz * np.sqrt(_DISPERSION_CUTOFF_HZ))
     pad = int(np.ceil(sample_rate * (tau_max + 0.001)))
     return next_fast_len(size + pad)
 
@@ -259,7 +258,7 @@ def place_footstep(
     dispersed = None
     if structure:
         n_fft = _dispersed_length(parts.structure_source.size, material, range_m, fs)
-        spectrum, dens = parts._dispersion_inputs(n_fft, dispersion_speed(material, 1.0))
+        spectrum, dens = parts._dispersion_inputs(n_fft, material.speed_1hz)
         dispersed = _disperse(spectrum, n_fft, range_m, dens)
     if out is None:
         longest = air_delay + parts.air_template.size
@@ -278,7 +277,7 @@ def place_footstep(
     if dispersed is not None:
         _mix(dispersed, 0, STRUCTURE_GAIN / np.sqrt(range_m))
     if air:
-        _mix(parts.air_template, air_delay, AIR_GAIN / range_m)
+        _mix(parts.air_template, air_delay, 1.0 / range_m)
     return out
 
 
@@ -291,6 +290,6 @@ def synth_footstep(
     structure: bool = True,
 ) -> Waveform:
     """One footstep heard by one microphone at the given range."""
-    parts = footstep_parts(persona, material, sample_rate)
+    parts = footstep_parts(persona, sample_rate)
     samples = place_footstep(parts, material, range_m, air=air, structure=structure)
     return Waveform(samples, sample_rate)

@@ -79,7 +79,18 @@ def _as_patches(x) -> np.ndarray:
         x = x[None]
     if x.shape[1:] != PATCH_SHAPE:
         raise FootfallError("patches must be 32x16", argument="patches", shape=list(x.shape))
+    if not x.shape[0]:
+        raise FootfallError("patches must hold at least one patch", argument="patches",
+                            shape=list(x.shape))
     return x
+
+
+def _voting_scheme(voting) -> tuple[int, int]:
+    """(k, n) of the k-of-n scheme VOTING_SCHEMES names voting."""
+    if not (isinstance(voting, str) and voting in VOTING_SCHEMES):
+        raise FootfallError("unknown voting scheme", voting=repr(voting),
+                            known=sorted(VOTING_SCHEMES))
+    return VOTING_SCHEMES[voting]
 
 
 class IdNet:
@@ -442,13 +453,10 @@ def identify(net: IdNet, patches, voting: str = "single"):
     confidence) where confidence is the winning vote share. Ties go to the
     lowest user id.
     """
-    if voting not in VOTING_SCHEMES:
-        raise FootfallError("unknown voting scheme", voting=voting,
-                            known=sorted(VOTING_SCHEMES))
+    _, n = _voting_scheme(voting)
     patches = list(patches)
     if not patches:
         raise FootfallError("no footsteps to identify")
-    _, n = VOTING_SCHEMES[voting]
     if len(patches) != n:
         raise FootfallError("voting scheme needs a different step count",
                             voting=voting, expected=n, got=len(patches))
@@ -461,11 +469,9 @@ def identify(net: IdNet, patches, voting: str = "single"):
 
 def voting_accuracy(p: float, voting: str) -> float:
     """Closed-form accuracy of k-of-n voting from per-step accuracy p."""
-    if voting not in VOTING_SCHEMES:
-        raise FootfallError("unknown voting scheme", voting=voting)
+    k, n = _voting_scheme(voting)
     if not _as_positive(p, "p", zero_ok=True) <= 1.0:
         raise FootfallError("per-step accuracy must be a probability", p=p)
-    k, n = VOTING_SCHEMES[voting]
     return float(sum(math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
                      for j in range(k, n + 1)))
 

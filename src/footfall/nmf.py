@@ -426,7 +426,9 @@ def nmf_separate(mix: Waveform, step_freq: float,
     over a voice, however weak, or when there are no step-free frames.
     """
     _check_instance(mix, Waveform, "mix")
-    step_freq = _as_positive(step_freq, "step_freq")
+    period = _RATE / _HOP / _as_positive(step_freq, "step_freq")
+    if not math.isfinite(period):
+        raise FootfallError("step_freq too small for a finite comb period", step_freq=step_freq)
     if rng is None:
         rng = np.random.default_rng(0)
     fs = mix.sample_rate
@@ -445,7 +447,6 @@ def nmf_separate(mix: Waveform, step_freq: float,
     # Above the capture's Nyquist frequency an upsampled capture holds only
     # FFT rounding noise, which would reach the refinement input unfloored.
     power[np.fft.rfftfreq(_WINDOW_LEN, 1 / _RATE) > fs / 2] = 0.0
-    period = _RATE / _HOP / step_freq
     quiet = _step_free_frames(power)
     # Footstep activations start confined to the observed impacts in both
     # branches. With real interference present, the step-free frames carry

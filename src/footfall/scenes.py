@@ -281,7 +281,7 @@ def _render_walker(walker: Walker, scene: Scene, out: np.ndarray) -> list:
         foot = center + side * 0.5 * walker.stance_width * lateral
         side = -side
         persona = walker.persona.perturbed(rng) if walker.perturb_steps else walker.persona
-        parts = footstep_parts(persona, scene.floor, fs)
+        parts = footstep_parts(persona, fs)
         offset = int(round(t * fs))
         for c, mic in enumerate(scene.array.positions):
             r = float(np.linalg.norm(foot - mic))

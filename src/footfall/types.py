@@ -138,7 +138,10 @@ class MultichannelWaveform:
         return self.samples.shape[0]
 
     def channel(self, i: int) -> Waveform:
-        return Waveform(self.samples[i].copy(), self.sample_rate)
+        index = _as_whole(i, "i", zero_ok=True)
+        if index >= self.n_channels:
+            raise FootfallError("channel index out of range", i=i, n_channels=self.n_channels)
+        return Waveform(self.samples[index].copy(), self.sample_rate)
 
     @property
     def duration(self) -> float:

@@ -6,7 +6,7 @@ from footfall import FootfallError, MultichannelWaveform, Waveform
 from footfall import dsp
 from footfall.detect import detect_events, energy_gate, gate_threshold
 from footfall.dsp import _ola_weight, analyze_padded, hann_window, istft, stft, synthesize_padded
-from footfall.floors import CONCRETE_SLAB, arrival_gap, dispersion_speed, material_for_speed
+from footfall.floors import CONCRETE_SLAB, arrival_gap, dispersion_speed
 from footfall.footsteps import FootstepPersona, footstep_parts, place_footstep, synth_footstep
 from footfall.gmm import GmmModel, gmm_classify
 from footfall.idnet import IdNet, TrainSet, forward, identify, save_checkpoint, train_adversarial
@@ -215,6 +215,17 @@ def test_samples_must_be_a_finite_real_array_of_the_right_rank(make, samples):
     assert err.value.details["argument"] == "samples" and "shape" in err.value.details
 
 
+@pytest.mark.parametrize("i", [5, 1.5, "0", -1],
+                         ids=["past-the-end", "fractional", "str", "negative"])
+def test_channel_index_must_name_a_channel(i):
+    # -1 must not pick the last channel: an index counts from the first one
+    w = MultichannelWaveform(np.arange(8.0).reshape(2, 4), 16000)
+    with pytest.raises(FootfallError) as err:
+        w.channel(i)
+    assert "i" in err.value.details
+    assert np.array_equal(w.channel(1.0).samples, w.samples[1])
+
+
 def _spectrogram(values, sample_rate):
     return Spectrogram(values, 4, 2, sample_rate)
 
@@ -300,14 +311,12 @@ _SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
     (lambda: detect_events(_SILENCE, {"a": "x"}, 160), "models"),
     (lambda: detect_events(_SILENCE, ["x"], 160), "models"),
     (lambda: gmm_classify({"a": "x"}, np.zeros((4, 2))), "models"),
-    (lambda: footstep_parts("x", CONCRETE_SLAB, 16000), "persona"),
+    (lambda: footstep_parts("x", 16000), "persona"),
     (lambda: place_footstep("x", CONCRETE_SLAB, 1.0), "parts"),
-    (lambda: place_footstep(footstep_parts(_persona(), CONCRETE_SLAB, 16000), "x", 1.0),
-     "material"),
+    (lambda: place_footstep(footstep_parts(_persona(), 16000), "x", 1.0), "material"),
     (lambda: synth_footstep(_persona(), "x", 1.0, 16000), "material"),
     (lambda: dispersion_speed("x", 1000.0), "material"),
     (lambda: arrival_gap(1.0, "x", 1000.0), "material"),
-    (lambda: material_for_speed(250.0, base="x"), "base"),
     (lambda: forward("x", np.zeros((32, 16))), "net"),
     (lambda: identify("x", [np.zeros((32, 16))]), "net"),
     (lambda: save_checkpoint("unused.npz", "x", np.zeros((2, 16))), "net"),
@@ -332,7 +341,7 @@ _SILENCE = Waveform(np.zeros(1600), 16000)  # the gate finds no segment in it
         "rhythm_present", "energy_gate", "gate_threshold", "detect_events",
         "detect_events-no-segment-models", "detect_events-models-list", "gmm_classify",
         "footstep_parts", "place_footstep-parts", "place_footstep-material",
-        "synth_footstep", "dispersion_speed", "arrival_gap", "material_for_speed", "forward",
+        "synth_footstep", "dispersion_speed", "arrival_gap", "forward",
         "identify", "save_checkpoint", "train_adversarial-dataset", "train_adversarial-config",
         "babble", "pink_noise", "scene-floor", "scene-array", "scene-walkers",
         "scene-walkers-not-a-sequence", "scene-voices", "walker-persona", "walker-trajectory",

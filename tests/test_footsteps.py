@@ -46,7 +46,7 @@ def _measured_gap(persona, r, fs):
     packet shape drops out and only the propagation delays remain.
     """
     f0 = persona.max_mode_hz
-    parts = footstep_parts(persona, CONCRETE_SLAB, fs)
+    parts = footstep_parts(persona, fs)
     air = synth_footstep(persona, CONCRETE_SLAB, r, fs, structure=False)
     struct = synth_footstep(persona, CONCRETE_SLAB, r, fs, air=False)
     air_delay = _band_arrival(air.samples, fs, f0) - _band_arrival(parts.air_template, fs, f0)
@@ -106,7 +106,7 @@ def test_structure_waveform_shape_changes_with_range():
 def test_dispersive_filter_is_all_pass():
     # unit-magnitude phase filter: output energy equals input energy exactly
     fs = 48000
-    parts = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+    parts = footstep_parts(_persona(), fs)
     src = parts.structure_source
     for r in (0.3, 1.0, 4.0):
         y = place_footstep(parts, CONCRETE_SLAB, r, air=False) * np.sqrt(r) / STRUCTURE_GAIN
@@ -178,16 +178,16 @@ def test_range_bounds_rejected():
 
 @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
 def test_non_finite_range_rejected(r):
-    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    parts = footstep_parts(_persona(), 16000)
     with pytest.raises(FootfallError) as err:
         place_footstep(parts, CONCRETE_SLAB, r)
     assert "range_m" in err.value.details
 
 
 @pytest.mark.parametrize("make, key", [
-    (lambda: footstep_parts(_persona(), CONCRETE_SLAB, "16000"), "sample_rate"),
+    (lambda: footstep_parts(_persona(), "16000"), "sample_rate"),
     (lambda: synth_footstep(_persona(), CONCRETE_SLAB, 1.0, 16000.5), "sample_rate"),
-    (lambda: place_footstep(footstep_parts(_persona(), CONCRETE_SLAB, 16000), CONCRETE_SLAB,
+    (lambda: place_footstep(footstep_parts(_persona(), 16000), CONCRETE_SLAB,
                             1.0, offset=2.5), "offset"),
 ], ids=["str-rate", "fractional-rate", "fractional-offset"])
 def test_bad_rate_signal_or_offset_raises_by_name(make, key):
@@ -197,7 +197,7 @@ def test_bad_rate_signal_or_offset_raises_by_name(make, key):
 
 
 def test_negative_offset_rejected():
-    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    parts = footstep_parts(_persona(), 16000)
     for out in (None, np.zeros(16000)):
         with pytest.raises(FootfallError) as err:
             place_footstep(parts, CONCRETE_SLAB, 1.0, out=out, offset=-1)
@@ -208,7 +208,7 @@ def test_negative_offset_rejected():
                                  np.zeros(16000, np.float32), np.broadcast_to(0.0, 16000)],
                          ids=["list", "2-d", "float32", "read-only"])
 def test_place_footstep_out_must_be_a_writable_1d_float64_array(out):
-    parts = footstep_parts(_persona(), CONCRETE_SLAB, 16000)
+    parts = footstep_parts(_persona(), 16000)
     with pytest.raises(FootfallError) as err:
         place_footstep(parts, CONCRETE_SLAB, 1.0, out=out)
     assert err.value.details["argument"] == "out"
@@ -218,9 +218,9 @@ def test_shared_parts_place_like_fresh_parts():
     # one parts object serves every microphone of a step; its kept spectrum
     # must give the same samples as fresh parts, across FFT-length changes
     fs = 48000
-    shared = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+    shared = footstep_parts(_persona(), fs)
     for r in (1.0, 1.001, 4.0, 1.0):
-        fresh = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+        fresh = footstep_parts(_persona(), fs)
         assert np.array_equal(place_footstep(shared, CONCRETE_SLAB, r),
                               place_footstep(fresh, CONCRETE_SLAB, r))
 
@@ -241,7 +241,7 @@ def test_perturbed_consumes_fixed_draws():
 
 def test_place_into_shared_buffer():
     fs = 48000
-    parts = footstep_parts(_persona(), CONCRETE_SLAB, fs)
+    parts = footstep_parts(_persona(), fs)
     buf = np.zeros(fs * 2)
     out = place_footstep(parts, CONCRETE_SLAB, 1.0, out=buf, offset=fs)
     assert out is buf

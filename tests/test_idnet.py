@@ -187,6 +187,10 @@ def test_voting_closed_form():
     assert voting_accuracy(0.9, "single") == pytest.approx(0.9, abs=1e-12)
     # 10 * 0.9**3 * 0.1**2 + 5 * 0.9**4 * 0.1 + 0.9**5
     assert voting_accuracy(0.9, "3-of-5") == pytest.approx(0.99144, abs=1e-12)
+    for voting in ("best-of-7", ["single"]):
+        with pytest.raises(FootfallError) as err:
+            voting_accuracy(0.9, voting)
+        assert err.value.details["voting"] == repr(voting)
 
 
 def test_identify_unanimous_and_errors(trained):
@@ -198,8 +202,10 @@ def test_identify_unanimous_and_errors(trained):
         identify(trained.net, [], "single")
     with pytest.raises(FootfallError):
         identify(trained.net, patches, "3-of-5")
-    with pytest.raises(FootfallError):
-        identify(trained.net, patches, "best-of-7")
+    for voting in ("best-of-7", ["single"]):
+        with pytest.raises(FootfallError) as err:
+            identify(trained.net, patches, voting)
+        assert err.value.details["voting"] == repr(voting)
 
 
 @pytest.mark.parametrize("shape", [(3, 32, 16), (1, 32, 16), (32, 15)])
@@ -276,10 +282,11 @@ def test_checkpoint_roundtrip(tmp_path, trained):
     (lambda: TrainConfig(lr=float("nan")), "lr"),
     (lambda: forward(IdNet(3, 2), "abc"), "argument"),
     (lambda: forward(IdNet(3, 2), np.full((32, 16), np.inf)), "argument"),
+    (lambda: forward(IdNet(3, 2), np.ones((0, 32, 16))), "argument"),
     (lambda: TrainSet(np.ones((2, 32, 16)), [0.5, 1.5], [0, 0]), "argument"),
     (lambda: TrainSet(np.ones((2, 32, 16)), [0, 1], ["a", "b"]), "argument"),
 ], ids=["fractional-users", "bool-domains", "negative-seed", "fractional-epochs", "str-batch",
-        "nan-lr", "str-patches", "inf-patch", "fractional-labels", "str-labels"])
+        "nan-lr", "str-patches", "inf-patch", "empty-stack", "fractional-labels", "str-labels"])
 def test_bad_net_settings_and_patches_raise_by_name(make, key):
     with pytest.raises(FootfallError) as err:
         make()

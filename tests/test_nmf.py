@@ -560,7 +560,8 @@ def _noise_mix():
     return Waveform(np.random.default_rng(0).standard_normal(FS), FS)
 
 
-@pytest.mark.parametrize("step_freq", [float("nan"), float("inf"), -float("inf"), 0.0, "1.5"])
+@pytest.mark.parametrize("step_freq", [float("nan"), float("inf"), -float("inf"), 0.0, "1.5",
+                                       1e-310])
 def test_separate_rejects_non_finite_or_non_positive_step_freq(step_freq):
     with pytest.raises(FootfallError) as err:
         nmf_separate(_noise_mix(), step_freq)

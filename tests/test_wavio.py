@@ -60,3 +60,16 @@ def test_truncated_file_raises_with_the_path(tmp_path, keep):
 def test_missing_file():
     with pytest.raises(FootfallError):
         read_wav("/nonexistent/nothing.wav")
+
+
+def test_a_directory_is_an_unreadable_file(tmp_path):
+    with pytest.raises(FootfallError) as err:
+        read_wav(tmp_path)
+    assert err.value.details["path"] == str(tmp_path) and err.value.details["reason"]
+
+
+def test_a_missing_directory_is_an_unwritable_file(tmp_path):
+    path = tmp_path / "missing" / "x.wav"
+    with pytest.raises(FootfallError) as err:
+        write_wav(path, Waveform(np.zeros(10), 16000))
+    assert err.value.details["path"] == str(path) and err.value.details["reason"]
