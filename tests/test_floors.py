@@ -73,12 +73,13 @@ def test_material_constants_validated():
     (lambda: replace(CONCRETE_SLAB, speed_1hz=-5.0), "speed_1hz", -5.0),
     (lambda: replace(CONCRETE_SLAB, speed_1hz=math.inf), "speed_1hz", math.inf),
     (lambda: replace(WOOD_JOIST, speed_1hz=math.nan), "speed_1hz", math.nan),
+    (lambda: replace(WOOD_JOIST, air_speed=math.nan), "air_speed", math.nan),
     (lambda: arrival_gap(2.0, CONCRETE_SLAB, 0.0), "f_ref_hz", 0.0),
     (lambda: arrival_gap(math.nan, CONCRETE_SLAB, 1000.0), "range_m", math.nan),
     (lambda: arrival_gap(2.0, CONCRETE_SLAB, math.nan), "f_ref_hz", math.nan),
     (lambda: replace(WOOD_JOIST, speed_1hz="600"), "speed_1hz", repr("600")),
 ], ids=["zero-air-speed", "zero-speed", "negative-speed", "infinite-speed", "nan-speed",
-        "zero-f-ref", "nan-range", "nan-f-ref", "str-speed"])
+        "nan-air-speed", "zero-f-ref", "nan-range", "nan-f-ref", "str-speed"])
 def test_bad_floor_values_raise_with_the_value(call, key, value):
     with pytest.raises(FootfallError) as err:
         call()
