@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Runs 2 s of each gated perfbench workload on seed 401, plus one traced
-# 2 s babble16k run, and fails unless every run is `correct`: it meets its
-# quality floors and fails no capture. The traced run wraps the package
-# callees that perfbench/spans.py lists in WRAPPED, by name, and reads their
-# results, so a renamed callee or a changed result shape fails it.
+# Runs 2 s of each gated perfbench workload on seed 401, plus traced 2 s
+# babble16k and quiet48k runs, and fails unless every run is `correct`: it
+# meets its quality floors and fails no capture. The traced runs wrap the
+# package callees that perfbench/spans.py lists in WRAPPED, by name, and read
+# their results, so a renamed callee or a changed result shape fails them.
+# babble16k traces the pinned-template NMF branch at 16 kHz, quiet48k the
+# blind branch and the 48 kHz front end.
 # Run from the root of the checkout:
 #
 #     bash .github/perfbench-floors.sh
@@ -24,3 +26,4 @@ for w in babble16k quiet48k nowalk60s synth48k; do
   check "$w" 0
 done
 check babble16k 1
+check quiet48k 1

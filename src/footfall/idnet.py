@@ -325,6 +325,15 @@ def _train_step(net: IdNet, x, users, domains, centers, lam: float,
     return (l_u, l_c, l_d), grads, f
 
 
+def _as_labels(labels, name: str, n: int) -> np.ndarray:
+    """labels as int64, when they are one whole number >= 0 for each of n
+    patches; otherwise a FootfallError that calls them name."""
+    labels = _as_float_array(labels, name, (n,), nonnegative=True)
+    if np.any(labels % 1):
+        raise FootfallError(f"{name} must be whole numbers", argument=name)
+    return labels.astype(np.int64)
+
+
 @dataclass
 class TrainSet:
     """Patches with user and domain labels, both 0-based and dense."""
@@ -336,11 +345,8 @@ class TrainSet:
     def __post_init__(self):
         self.x = _as_patches(self.x)
         n = self.x.shape[0]
-        for name in ("users", "domains"):  # one whole number >= 0 per patch
-            labels = _as_float_array(getattr(self, name), name, (n,), nonnegative=True)
-            if np.any(labels % 1):
-                raise FootfallError(f"{name} must be whole numbers", argument=name)
-            setattr(self, name, labels.astype(np.int64))
+        for name in ("users", "domains"):
+            setattr(self, name, _as_labels(getattr(self, name), name, n))
         if np.unique(self.users).size < 2:
             raise FootfallError("dataset must cover at least two users")
 
@@ -381,8 +387,10 @@ class TrainResult:
 
 
 def evaluate_accuracy(net: IdNet, patches, labels) -> float:
+    """Share of patches whose most likely user is their label, one whole
+    number >= 0 per patch."""
     x = _as_patches(patches)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, "labels", x.shape[0])
     hits = 0
     for lo in range(0, x.shape[0], _EVAL_BATCH):
         _, pu, _ = forward(net, x[lo:lo + _EVAL_BATCH])

@@ -259,6 +259,17 @@ def test_trainset_validation():
         TrainConfig(lr=-1.0)
 
 
+@pytest.mark.parametrize("labels", [
+    [0], [0, 1, 0], np.zeros((6, 1)), [0.5] * 6, [-1] * 6, [np.nan] * 6, ["a"] * 6, [True] * 6,
+], ids=["one-label", "three-labels", "column", "fractional", "negative", "nan", "str", "bool"])
+def test_evaluate_accuracy_wants_one_whole_label_per_patch(labels):
+    # one label on six patches used to broadcast and read 1.0
+    patches = np.random.default_rng(0).random((6, 32, 16))
+    with pytest.raises(FootfallError) as err:
+        evaluate_accuracy(IdNet(2, 1), patches, labels)
+    assert err.value.details["argument"] == "labels"
+
+
 def test_checkpoint_roundtrip(tmp_path, trained):
     path = tmp_path / "net.npz"
     save_checkpoint(path, trained.net, trained.centers)
